@@ -35,7 +35,7 @@ from .calibration import (
     load_size_histogram,
 )
 from .curves import DemandSide, SupplySide
-from .dynamics import ScenarioConfig, Trajectory, simulate, summarize, sweep
+from .dynamics import COLUMNS, ScenarioConfig, Trajectory, cumulative_flow, simulate, summarize, sweep
 from .equilibrium import classify_regime, solve_equilibrium
 from .errors import ConsultMarketError, DataError, DomainError
 from .model import ModelParams
@@ -47,10 +47,7 @@ ANCHOR_KEYS = ("served0", "price0")
 DYNAMICS_KEYS = ("mode", "horizon", "dt", "t")
 IO_KEYS = ("fig2", "fig3", "trajectory", "sweep", "series", "sizes", "config_out")
 
-TRAJECTORY_HEADER = (
-    "t,price,price_slope,required_share,marginal_size,demand,supply,"
-    "entry_rate,exit_rate,profit_frontier"
-)
+TRAJECTORY_HEADER = ",".join(COLUMNS)
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -64,12 +61,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt_currency(x: float) -> str:
-    return f"{x:.2f}"
-
-
-def _fmt_fraction(x: float) -> str:
-    return f"{x:.4f}"
+CURRENCY, FRACTION = "{:.2f}", "{:.4f}"
+_fmt_currency, _fmt_fraction = CURRENCY.format, FRACTION.format
+# time, shares and flow rates get four decimals, everything else two
+_FRACTION_COLUMNS = ("t", "required_share", "entry_rate", "exit_rate")
+TRAJECTORY_FORMATS = tuple(FRACTION if name in _FRACTION_COLUMNS else CURRENCY for name in COLUMNS)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -98,13 +94,7 @@ class RunConfig:
     io: dict[str, str]
 
     def scenario(self) -> ScenarioConfig:
-        return ScenarioConfig(
-            params=self.params,
-            mode=self.mode,
-            horizon=self.horizon,
-            dt=self.dt,
-            anchors=self.anchors,
-        )
+        return ScenarioConfig(self.params, self.mode, self.horizon, self.dt, self.anchors)
 
 
 def _parse_float(section: str, key: str, raw: str, path: str) -> float:
@@ -112,6 +102,12 @@ def _parse_float(section: str, key: str, raw: str, path: str) -> float:
         return float(raw)
     except ValueError:
         raise DataError(f"[{section}] {key} = {raw!r} is not a number", path=path) from None
+
+
+def _float_section(parser: ConfigParser, section: str, path: Path) -> dict[str, float]:
+    if not parser.has_section(section):
+        return {}
+    return {key: _parse_float(section, key, raw, str(path)) for key, raw in parser[section].items()}
 
 
 def load_config(path: str | Path, overrides: dict[str, object] | None = None) -> RunConfig:
@@ -133,44 +129,28 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
             if key not in known[section]:
                 raise DataError(f"unknown key {key!r} in [{section}]", path=str(path))
 
-    market: dict[str, float] = {}
-    if parser.has_section("market"):
-        for key in parser["market"]:
-            market[key] = _parse_float("market", key, parser["market"][key], str(path))
-
+    market = _float_section(parser, "market", path)
     anchors = None
     if parser.has_section("anchors"):
-        vals = {k: _parse_float("anchors", k, parser["anchors"][k], str(path)) for k in parser["anchors"]}
+        vals = _float_section(parser, "anchors", path)
         missing = [k for k in ANCHOR_KEYS if k not in vals]
         if missing:
             raise DataError(f"[anchors] missing {', '.join(missing)}", path=str(path))
         anchors = AnchorConditions(served0=vals["served0"], price0=vals["price0"])
 
-    mode = "capacity"
-    horizon, dt, t = 10.0, 0.01, 0.0
+    dynamics: dict = {"mode": "capacity", "horizon": 10.0, "dt": 0.01, "t": 0.0}
     if parser.has_section("dynamics"):
-        sec = parser["dynamics"]
-        mode = sec.get("mode", mode).strip()
-        horizon = _parse_float("dynamics", "horizon", sec.get("horizon", str(horizon)), str(path))
-        dt = _parse_float("dynamics", "dt", sec.get("dt", str(dt)), str(path))
-        t = _parse_float("dynamics", "t", sec.get("t", str(t)), str(path))
-
+        for key, raw in parser["dynamics"].items():
+            dynamics[key] = raw.strip() if key == "mode" else _parse_float("dynamics", key, raw, str(path))
     io = dict(parser["io"]) if parser.has_section("io") else {}
 
-    overrides = overrides or {}
-    for key, value in overrides.items():
+    for key, value in (overrides or {}).items():
         if value is None:
             continue
         if key in MARKET_KEYS:
             market[key] = float(value)  # type: ignore[arg-type]
-        elif key == "mode":
-            mode = str(value)
-        elif key == "horizon":
-            horizon = float(value)  # type: ignore[arg-type]
-        elif key == "dt":
-            dt = float(value)  # type: ignore[arg-type]
-        elif key == "t":
-            t = float(value)  # type: ignore[arg-type]
+        elif key in DYNAMICS_KEYS:
+            dynamics[key] = str(value) if key == "mode" else float(value)  # type: ignore[arg-type]
         elif key in IO_KEYS:
             io[key] = str(value)
         else:
@@ -199,59 +179,37 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
     except DomainError as exc:
         raise DataError(f"invalid market parameters: {exc}", path=str(path)) from None
 
-    return RunConfig(params=params, anchors=anchors, mode=mode, horizon=horizon, dt=dt, t=t, io=io)
+    return RunConfig(params=params, anchors=anchors, **dynamics, io=io)
 
 
 def _curve_sides(cfg: RunConfig) -> tuple[DemandSide, SupplySide]:
     return DemandSide.closed_form(cfg.params), SupplySide.closed_form(cfg.params)
 
 
+def _columns_csv(header: str, columns: list[list[float]], formats: tuple[str, ...]) -> str:
+    row = ",".join(formats)
+    return "\n".join([header, *(row.format(*values) for values in zip(*columns))]) + "\n"
+
+
 def _fig2_csv(cfg: RunConfig, t: float, points: int = 251) -> str:
     demand, supply = _curve_sides(cfg)
-    p = cfg.params
-    prices = np.linspace(p.cost_floor, p.full_local_cost, points)
-    lines = ["price,demand,supply"]
-    for price in prices:
-        lines.append(
-            f"{_fmt_currency(price)},{_fmt_currency(demand.at(t, price))},"
-            f"{_fmt_currency(supply.at(t, price))}"
-        )
-    return "\n".join(lines) + "\n"
+    prices = np.linspace(cfg.params.cost_floor, cfg.params.full_local_cost, points)
+    columns = [prices.tolist(), [demand.at(t, x) for x in prices], [supply.at(t, x) for x in prices]]
+    return _columns_csv("price,demand,supply", columns, (CURRENCY,) * 3)
 
 
 def _trajectory_csv(traj: Trajectory) -> str:
-    lines = [TRAJECTORY_HEADER]
-    for pt in traj:
-        lines.append(
-            ",".join(
-                (
-                    _fmt_fraction(pt.t),
-                    _fmt_currency(pt.price),
-                    _fmt_currency(pt.price_slope),
-                    _fmt_fraction(pt.required_share),
-                    _fmt_currency(pt.marginal_size),
-                    _fmt_currency(pt.demand),
-                    _fmt_currency(pt.supply),
-                    _fmt_fraction(pt.entry_rate),
-                    _fmt_fraction(pt.exit_rate),
-                    _fmt_currency(pt.profit_frontier),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    columns = [getattr(traj, name).tolist() for name in COLUMNS]
+    return _columns_csv(TRAJECTORY_HEADER, columns, TRAJECTORY_FORMATS)
 
 
 def _fig3_csv(traj: Trajectory) -> str:
-    ts = np.array([p.t for p in traj])
-    exits = np.array([p.exit_rate for p in traj])
-    cumulative = np.concatenate(([0.0], np.cumsum(0.5 * (exits[1:] + exits[:-1]) * np.diff(ts))))
-    lines = ["t,price,required_share,exits"]
-    for pt, total in zip(traj, cumulative):
-        lines.append(
-            f"{_fmt_fraction(pt.t)},{_fmt_currency(pt.price)},"
-            f"{_fmt_fraction(pt.required_share)},{_fmt_fraction(float(total))}"
-        )
-    return "\n".join(lines) + "\n"
+    columns = [traj.t, traj.price, traj.required_share, cumulative_flow(traj.exit_rate, traj.t)]
+    return _columns_csv(
+        "t,price,required_share,exits",
+        [column.tolist() for column in columns],
+        (FRACTION, CURRENCY, FRACTION, FRACTION),
+    )
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -286,17 +244,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = load_config(
-        args.config,
-        {
-            "mode": args.mode,
-            "mu": args.mu,
-            "horizon": args.horizon,
-            "dt": args.dt,
-            "trajectory": args.out,
-            "fig3": args.fig3,
-        },
-    )
+    flags = dict(mode=args.mode, mu=args.mu, horizon=args.horizon, dt=args.dt, fig3=args.fig3)
+    cfg = load_config(args.config, {**flags, "trajectory": args.out})
     if "trajectory" not in cfg.io:
         raise UsageError("simulate needs --out <csv> (or [io] trajectory in the config)")
     traj = simulate(cfg.scenario())
@@ -319,9 +268,7 @@ def _parse_vary(raw: str) -> tuple[str, float, float, float]:
         name, rhs = raw.split("=", 1)
         lo, hi, step = (float(x) for x in rhs.split(":"))
     except ValueError:
-        raise UsageError(
-            f"--vary must look like name=lo:hi:step, got {raw!r}"
-        ) from None
+        raise UsageError(f"--vary must look like name=lo:hi:step, got {raw!r}") from None
     return name.strip(), lo, hi, step
 
 
@@ -331,10 +278,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if "sweep" not in cfg.io:
         raise UsageError("sweep needs --out <csv> (or [io] sweep in the config)")
     rows = sweep(cfg.scenario(), name, lo, hi, step)
-    lines = [
-        f"{name},final_price,price_drift_pct_per_year,share_gain_pp_per_year,"
-        "total_exits,floor_reached,error"
-    ]
+    header = "final_price,price_drift_pct_per_year,share_gain_pp_per_year,total_exits,floor_reached,error"
+    lines = [f"{name},{header}"]
     for row in rows:
         if row.error is None:
             lines.append(

@@ -1,50 +1,48 @@
 """Market path over a horizon: flat price with entry, or integrated decline.
 
-A scenario starts from the t = 0 cleared state.  Under fixed closed-form
-parameters the regime classifier is time-invariant, so a path is either
-emerging throughout (price pinned at the smallest provider's cost, entry
-recorded) or mature throughout (price integrated downward with the
-configured slope mode, exits and the required offshore share tracked).
-The regime is still re-evaluated every step; a switch can only go from
-emerging to mature.
+A scenario starts from the t = 0 cleared state.  Under the closed forms the
+regime classifier margin is (alpha - psi)/mu - 1 at every t, so the regime
+is classified once, at t = 0, and holds for the whole path.  An emerging
+path takes no steps: the price stays at the smallest provider's cost and
+entry is recorded.  On a mature path ``equilibrium.price_slope`` reduces
+exactly to the autonomous law
 
-The price never crosses the cost floor n*(c - delta_c): a step that would
-cross stops the simulation and marks the trajectory, so downstream
-statistics are never computed from a saturated path.
+    dP/dt = (alpha - psi - mu) * min(P - floor, n*delta_c*(1 - beta*n)) * w(P)
+
+with floor = n*(c - delta_c), w = 1 in capacity mode and
+w = min_viable_size(P)/n in literal mode, which is stepped with fixed-step
+RK4.  Every recorded column is then evaluated in one numpy pass over the
+time and price arrays; the scalar functions of ``curves``, ``model`` and
+``equilibrium`` stay the reference those columns are tested against.
+
+Floor rule: an RK4 stage or step that comes within FLOOR_TOL * n*delta_c of
+the cost floor ends the path.  That step is not recorded and the trajectory
+is marked ``floor_reached``, so every recorded price stays above the floor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterator
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .calibration import AnchorConditions, anchored_params
 from .curves import DemandSide, SupplySide
-from .equilibrium import (
-    SLOPE_MODES,
-    classify_regime,
-    entry_rate,
-    exit_rate,
-    price_slope,
-    solve_equilibrium,
-)
-from .errors import DomainError
-from .model import ModelParams, min_viable_size, profitability_threshold_size
+from .equilibrium import SLOPE_MODES, classify_regime, solve_equilibrium
+from .errors import ConsultMarketError, DomainError
+from .model import ModelParams
 from .numerics import rk4_step
 
 __all__ = [
-    "TrajectoryPoint",
-    "Trajectory",
-    "TrajectorySummary",
-    "ScenarioConfig",
-    "SweepRow",
-    "simulate",
-    "summarize",
-    "sweep",
+    "TrajectoryPoint", "Trajectory", "TrajectorySummary", "ScenarioConfig", "SweepRow",
+    "simulate", "summarize", "sweep",
 ]
+
+# Distance from the cost floor, as a fraction of n*delta_c, at which a path
+# ends (see the floor rule in the module docstring).
+FLOOR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,6 +59,9 @@ class TrajectoryPoint:
     entry_rate: float
     exit_rate: float
     profit_frontier: float
+
+
+COLUMNS = tuple(f.name for f in fields(TrajectoryPoint))
 
 
 @dataclass(frozen=True)
@@ -92,17 +93,52 @@ class ScenarioConfig:
         return anchored_params(self.params, self.anchors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    points: tuple[TrajectoryPoint, ...]
+    """Recorded path: one read-only float64 array per TrajectoryPoint field.
+
+    Iteration and ``points`` build TrajectoryPoints of Python floats on
+    demand and never cache them.
+    """
+
+    t: np.ndarray
+    price: np.ndarray
+    price_slope: np.ndarray
+    required_share: np.ndarray
+    marginal_size: np.ndarray
+    demand: np.ndarray
+    supply: np.ndarray
+    entry_rate: np.ndarray
+    exit_rate: np.ndarray
+    profit_frontier: np.ndarray
     floor_reached: bool
     mode: str
 
-    def __iter__(self) -> Iterator[TrajectoryPoint]:
-        return iter(self.points)
+    def __post_init__(self) -> None:
+        for name in COLUMNS:
+            column = np.array(getattr(self, name), dtype=float)
+            if column.ndim != 1 or len(column) != len(self.t):
+                raise DomainError("trajectory columns must be 1-d arrays of equal length")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.t)
+
+    def __iter__(self) -> Iterator[TrajectoryPoint]:
+        rows = zip(*(getattr(self, name).tolist() for name in COLUMNS))
+        return (TrajectoryPoint(*row) for row in rows)
+
+    @property
+    def points(self) -> tuple[TrajectoryPoint, ...]:
+        return tuple(self)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return (self.floor_reached, self.mode) == (other.floor_reached, other.mode) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in COLUMNS
+        )
 
 
 @dataclass(frozen=True)
@@ -117,18 +153,74 @@ class TrajectorySummary:
 
 
 class _FloorCrossed(Exception):
-    """Internal signal: an integration stage dipped to or below the floor."""
+    """Internal signal: an integration stage came within the floor tolerance."""
 
 
-def _clamped_share(price: float, params: ModelParams) -> float:
-    share = (params.n * params.c - price) / (params.n * params.delta_c)
-    return min(max(share, 0.0), 1.0)
+def _reduced_slope(params: ModelParams, mode: str, stop: float) -> Callable[[float, float], float]:
+    """The scalar decline law of the module docstring, for RK4 stepping.
+
+    A finite stage at or below the price ``stop`` raises _FloorCrossed; a
+    stage at -inf yields a non-finite slope, which rk4_step reports as a
+    NumericError.
+    """
+    p = params
+    rate = p.alpha - p.psi - p.mu
+    floor = p.cost_floor
+    cap = p.n * p.delta_c * (1.0 - p.beta * p.n)
+    literal = mode == "literal"
+
+    def slope(t: float, price: float) -> float:
+        if -math.inf < price <= stop:
+            raise _FloorCrossed
+        gap = price - floor
+        value = rate * (gap if gap < cap else cap)
+        if literal:
+            raw = (p.n * p.c - price) / (p.n * p.beta * p.delta_c)
+            value *= (raw if raw > p.n else p.n) / p.n
+        return value
+
+    return slope
 
 
-def _frontier(slope: float, params: ModelParams) -> float:
-    if slope >= 0 or params.mu == 0:
-        return 0.0
-    return profitability_threshold_size(slope, params)
+def _columns(
+    params: ModelParams, mode: str, t: np.ndarray, price: np.ndarray, mature: bool
+) -> dict[str, np.ndarray]:
+    """Every recorded column in one numpy pass over the time and price arrays.
+
+    Each expression keeps the operation order of its scalar counterpart:
+    DemandSide.at, SupplySide.at, min_viable_size, required_offshore_share,
+    the reduced slope, entry_rate, exit_rate, profitability_threshold_size.
+    """
+    p = params
+    marginal = np.maximum((p.n * p.c - price) / (p.n * p.beta * p.delta_c), p.n)
+    demand_growth = p.alpha * p.f0 * np.exp(p.alpha * t)
+    supply_growth = np.exp(p.mu * t)
+    r_cut = price / p.v
+    tail = demand_growth * (p.psi / (p.alpha - p.psi)) * p.r_m * (r_cut / p.r_m) ** (1.0 - p.alpha / p.psi)
+    demand = np.where(r_cut <= p.r_m, demand_growth * p.r_m * p.psi / (p.alpha - p.psi), tail)
+    share_term = np.minimum(1.0 + (price - p.full_local_cost) / (p.n * p.delta_c), 1.0 - p.beta * p.n)
+    slope = entry = frontier = np.zeros_like(t)
+    if mature:
+        cap = p.n * p.delta_c * (1.0 - p.beta * p.n)
+        slope = (p.alpha - p.psi - p.mu) * np.minimum(price - p.cost_floor, cap)
+        if mode == "literal":
+            slope = slope * (marginal / p.n)
+        frontier = np.abs(slope) / (p.beta * p.mu * p.n * p.delta_c)
+    else:
+        cut = max(p.entry_price / p.v, p.r_m)  # the price is pinned at entry_price
+        entry = p.psi * cut * (demand_growth * (cut / p.r_m) ** (-p.alpha / p.psi)) - p.mu * demand
+    return dict(
+        t=t,
+        price=price,
+        price_slope=slope,
+        required_share=(p.n * p.c - price) / (p.n * p.delta_c),
+        marginal_size=marginal,
+        demand=demand,
+        supply=supply_growth * p.g0 / (p.n * p.beta) * share_term,
+        entry_rate=entry,
+        exit_rate=p.g0 * supply_growth / marginal * np.abs(slope) / (p.n * p.beta * p.delta_c),
+        profit_frontier=frontier,
+    )
 
 
 def simulate(config: ScenarioConfig) -> Trajectory:
@@ -137,68 +229,38 @@ def simulate(config: ScenarioConfig) -> Trajectory:
     Deterministic: identical configs produce bit-identical trajectories.
     """
     params = config.resolved_params()
-    demand = DemandSide.closed_form(params)
-    supply = SupplySide.closed_form(params)
     steps = int(round(config.horizon / config.dt))
     if steps < 1:
         raise DomainError("horizon shorter than one step")
-    floor = params.cost_floor
-
-    label = classify_regime(demand, supply, 0.0)
-    if label.is_emerging:
-        price = params.entry_price
-    else:
-        price = solve_equilibrium(demand, supply, 0.0, slope_mode=config.mode).price
-
-    def declining_slope(t: float, p: float) -> float:
-        if p <= floor:
-            raise _FloorCrossed
-        return price_slope(demand, supply, t, p, config.mode)
-
-    points: list[TrajectoryPoint] = []
+    demand, supply = DemandSide.closed_form(params), SupplySide.closed_form(params)
+    mature = classify_regime(demand, supply, 0.0).is_mature
     floor_reached = False
-    mature = label.is_mature
-    for k in range(steps + 1):
-        t = k * config.dt
-        if not mature and classify_regime(demand, supply, t).is_mature:
-            # one-way switch: from here on the price declines from its
-            # current (emerging) level
-            mature = True
-        if mature:
-            slope = price_slope(demand, supply, t, price, config.mode)
-            exits = exit_rate(supply, t, price, slope)
-            entries = 0.0
-        else:
-            slope = 0.0
-            exits = 0.0
-            entries = entry_rate(demand, supply, t)
-        points.append(
-            TrajectoryPoint(
-                t=t,
-                price=price,
-                price_slope=slope,
-                required_share=_clamped_share(price, params),
-                marginal_size=min_viable_size(price, params),
-                demand=demand.at(t, price),
-                supply=supply.at(t, price),
-                entry_rate=entries,
-                exit_rate=exits,
-                profit_frontier=_frontier(slope, params),
-            )
-        )
-        if k == steps:
-            break
-        if mature:
+    if mature:
+        price = solve_equilibrium(demand, supply, 0.0, slope_mode=config.mode).price
+        stop = params.cost_floor + FLOOR_TOL * params.n * params.delta_c
+        slope = _reduced_slope(params, config.mode, stop)
+        prices = [price]
+        for k in range(steps):
             try:
-                nxt = rk4_step(declining_slope, t, price, config.dt)
+                price = rk4_step(slope, k * config.dt, price, config.dt)
             except _FloorCrossed:
                 floor_reached = True
                 break
-            if nxt <= floor:
+            if price <= stop:
                 floor_reached = True
                 break
-            price = nxt
-    return Trajectory(points=tuple(points), floor_reached=floor_reached, mode=config.mode)
+            prices.append(price)
+        path = np.array(prices)
+    else:
+        path = np.full(steps + 1, params.entry_price)
+    t = np.arange(len(path)) * config.dt
+    columns = _columns(params, config.mode, t, path, mature)
+    return Trajectory(**columns, floor_reached=floor_reached, mode=config.mode)
+
+
+def cumulative_flow(rate: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of a flow rate over time, starting at 0."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(t))))
 
 
 def summarize(traj: Trajectory) -> TrajectorySummary:
@@ -208,24 +270,17 @@ def summarize(traj: Trajectory) -> TrajectorySummary:
     the share gain is in percentage points per year; exits and entries are
     the trapezoid-integrated flow totals.
     """
-    first, last = traj.points[0], traj.points[-1]
-    span = last.t - first.t
-    ts = np.array([p.t for p in traj.points])
-    exits = float(np.trapezoid(np.array([p.exit_rate for p in traj.points]), ts))
-    entries = float(np.trapezoid(np.array([p.entry_rate for p in traj.points]), ts))
-    if span > 0:
-        drift = 100.0 * (last.price - first.price) / (first.price * span)
-        gain = 100.0 * (last.required_share - first.required_share) / span
-    else:
-        drift = 0.0
-        gain = 0.0
+    t, price, share = traj.t.tolist(), traj.price.tolist(), traj.required_share.tolist()
+    span = t[-1] - t[0]
+    drift = 100.0 * (price[-1] - price[0]) / (price[0] * span) if span > 0 else 0.0
+    gain = 100.0 * (share[-1] - share[0]) / span if span > 0 else 0.0
     return TrajectorySummary(
-        final_price=last.price,
+        final_price=price[-1],
         span=span,
         price_drift_pct_per_year=drift,
         share_gain_pp_per_year=gain,
-        total_exits=exits,
-        total_entries=entries,
+        total_exits=float(cumulative_flow(traj.exit_rate, traj.t)[-1]),
+        total_entries=float(cumulative_flow(traj.entry_rate, traj.t)[-1]),
         floor_reached=traj.floor_reached,
     )
 
@@ -258,27 +313,27 @@ def sweep(base: ScenarioConfig, name: str, lo: float, hi: float, step: float) ->
 
     ``name`` must be a model parameter field.  Anchored scenarios
     re-anchor at every grid point, so f0/g0 follow the varied parameter.
-    Per-point failures are recorded in their row; rows come back ordered
-    by parameter value regardless of evaluation order.
+    Per-point failures of this package (ConsultMarketError) are recorded in
+    their row; any other exception is a bug and propagates.  Rows come back
+    ordered by parameter value regardless of evaluation order.
     """
     if name not in ModelParams.field_names():
         raise DomainError(f"unknown parameter {name!r}; valid: {ModelParams.field_names()}")
     rows: list[SweepRow] = []
     for value in sweep_values(lo, hi, step):
         try:
-            params = base.params.replace(**{name: value})
-            traj = simulate(replace(base, params=params))
-            s = summarize(traj)
-            rows.append(
-                SweepRow(
-                    value=value,
-                    final_price=s.final_price,
-                    price_drift_pct_per_year=s.price_drift_pct_per_year,
-                    share_gain_pp_per_year=s.share_gain_pp_per_year,
-                    total_exits=s.total_exits,
-                    floor_reached=s.floor_reached,
-                )
-            )
-        except Exception as exc:  # noqa: BLE001 - recorded per-point by contract
+            s = summarize(simulate(replace(base, params=base.params.replace(**{name: value}))))
+        except ConsultMarketError as exc:
             rows.append(SweepRow(value=value, error=f"{type(exc).__name__}: {exc}"))
+            continue
+        rows.append(
+            SweepRow(
+                value=value,
+                final_price=s.final_price,
+                price_drift_pct_per_year=s.price_drift_pct_per_year,
+                share_gain_pp_per_year=s.share_gain_pp_per_year,
+                total_exits=s.total_exits,
+                floor_reached=s.floor_reached,
+            )
+        )
     return rows

@@ -3,10 +3,23 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from consultmarket import DomainError, ScenarioConfig, simulate, summarize, sweep
-from consultmarket.dynamics import sweep_values
+from consultmarket import (
+    DemandSide,
+    DomainError,
+    NumericError,
+    ScenarioConfig,
+    SupplySide,
+    price_slope,
+    simulate,
+    step_path,
+    summarize,
+    sweep,
+)
+from consultmarket import dynamics
+from consultmarket.dynamics import FLOOR_TOL, sweep_values
 from consultmarket.scenarios import german_transport_scenario
 
 
@@ -123,6 +136,37 @@ class TestFloorHandling:
         assert len(traj) < 11
         assert all(p.price > 25_000.0 for p in traj)
 
+    @pytest.mark.parametrize("mu, dt", [(0.05, 0.01), (0.06, 0.001)])
+    def test_floor_rule_ends_literal_path(self, mu, dt):
+        # the literal decline runs into the floor within the first year; the
+        # step that comes within FLOOR_TOL * n*delta_c of it ends the path
+        # and is not recorded
+        config = german_transport_scenario(mu=mu, mode="literal", dt=dt)
+        traj = simulate(config)
+        assert traj.floor_reached
+        assert 1 < len(traj) < 1.0 / dt
+        assert traj.price.min() > 25_000.0 + FLOOR_TOL * 25_000.0
+        assert np.all(np.diff(traj.price) < 0)
+        # up to the stop, the path is the RK4 path of the full price_slope
+        params = config.resolved_params()
+        demand, supply = DemandSide.closed_form(params), SupplySide.closed_form(params)
+        reference = step_path(
+            lambda t, p: price_slope(demand, supply, t, p, "literal"),
+            0.0,
+            float(traj.price[0]),
+            dt,
+            len(traj) - 1,
+        )
+        assert traj.price.tolist() == pytest.approx(reference[:, 1].tolist(), rel=1e-12)
+
+    def test_non_finite_stage_raises_numeric_error(self):
+        # mu = 1e308 overflows the first stage slope to -inf
+        config = german_transport_scenario(mu=1e308, horizon=1.0, dt=0.1)
+        with pytest.raises(NumericError):
+            simulate(config)
+        rows = sweep(config, "mu", 1e308, 1e308, 1.0)
+        assert rows[0].error.startswith("NumericError")
+
 
 class TestScenarioConfigValidation:
     def test_bad_mode(self, german_params):
@@ -173,6 +217,21 @@ class TestSweep:
         ok = [r for r in rows if r.error is None]
         assert errors and ok
         assert all(r.value <= 0.036 for r in errors)
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        # alpha = 0.03 < psi is invalid input and becomes an error row; a
+        # TypeError inside a point is a bug and leaves the sweep
+        base = german_transport_scenario(mu=0.05, horizon=1.0, dt=0.1)
+        rows = sweep(base, "alpha", 0.03, 0.04, 0.01)
+        assert rows[0].error.startswith("DomainError")
+        assert rows[1].error is None
+
+        def broken(config):
+            raise TypeError("bug inside a point")
+
+        monkeypatch.setattr(dynamics, "simulate", broken)
+        with pytest.raises(TypeError, match="bug inside a point"):
+            sweep(base, "alpha", 0.03, 0.04, 0.01)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(DomainError):
