@@ -11,9 +11,11 @@ exactly to the autonomous law
 
 with floor = n*(c - delta_c), w = 1 in capacity mode and
 w = min_viable_size(P)/n in literal mode, which is stepped with fixed-step
-RK4.  Every recorded column is then evaluated in one numpy pass over the
-time and price arrays; the scalar functions of ``curves``, ``model`` and
-``equilibrium`` stay the reference those columns are tested against.
+RK4, its four stages written out inline in the step loop.  The horizon must
+be a whole number of steps.  Every recorded column is then evaluated in one
+numpy pass over the time and price arrays; the scalar functions of
+``curves``, ``model`` and ``equilibrium`` stay the reference those columns
+are tested against.
 
 Floor rule: an RK4 stage or step that comes within FLOOR_TOL * n*delta_c of
 the cost floor ends the path.  That step is not recorded and the trajectory
@@ -24,16 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .calibration import AnchorConditions, anchored_params
 from .curves import DemandSide, SupplySide
 from .equilibrium import SLOPE_MODES, classify_regime, solve_equilibrium
-from .errors import ConsultMarketError, DomainError
+from .errors import ConsultMarketError, DomainError, NumericError
 from .model import ModelParams
-from .numerics import rk4_step
 
 __all__ = [
     "TrajectoryPoint", "Trajectory", "TrajectorySummary", "ScenarioConfig", "SweepRow",
@@ -86,6 +87,13 @@ class ScenarioConfig:
             raise DomainError(f"horizon must be > 0, got {self.horizon!r}")
         if not 0 < self.dt <= self.horizon:
             raise DomainError(f"dt must be in (0, horizon], got {self.dt!r}")
+        # the path must end at the horizon: horizon/dt has to be a whole
+        # number of steps up to rounding in the division
+        steps = self.horizon / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise DomainError(
+                f"horizon {self.horizon!r} is not a whole number of steps dt={self.dt!r}"
+            )
 
     def resolved_params(self) -> ModelParams:
         if self.anchors is None:
@@ -152,36 +160,6 @@ class TrajectorySummary:
     floor_reached: bool
 
 
-class _FloorCrossed(Exception):
-    """Internal signal: an integration stage came within the floor tolerance."""
-
-
-def _reduced_slope(params: ModelParams, mode: str, stop: float) -> Callable[[float, float], float]:
-    """The scalar decline law of the module docstring, for RK4 stepping.
-
-    A finite stage at or below the price ``stop`` raises _FloorCrossed; a
-    stage at -inf yields a non-finite slope, which rk4_step reports as a
-    NumericError.
-    """
-    p = params
-    rate = p.alpha - p.psi - p.mu
-    floor = p.cost_floor
-    cap = p.n * p.delta_c * (1.0 - p.beta * p.n)
-    literal = mode == "literal"
-
-    def slope(t: float, price: float) -> float:
-        if -math.inf < price <= stop:
-            raise _FloorCrossed
-        gap = price - floor
-        value = rate * (gap if gap < cap else cap)
-        if literal:
-            raw = (p.n * p.c - price) / (p.n * p.beta * p.delta_c)
-            value *= (raw if raw > p.n else p.n) / p.n
-        return value
-
-    return slope
-
-
 def _columns(
     params: ModelParams, mode: str, t: np.ndarray, price: np.ndarray, mature: bool
 ) -> dict[str, np.ndarray]:
@@ -223,6 +201,70 @@ def _columns(
     )
 
 
+def _decline_path(
+    params: ModelParams, mode: str, price: float, dt: float, steps: int
+) -> tuple[list[float], bool]:
+    """RK4 path of the reduced decline law from ``price``, and whether it hit the floor.
+
+    The four stages of the law (see the module docstring) are evaluated
+    inline, in the operation order of ``numerics.rk4_step`` applied to the
+    scalar law, so the path equals ``step_path`` of that law bit for bit.
+    A finite stage or step at or below the floor stop ends the path (a
+    stage at -inf does not); a non-finite stage raises NumericError.
+    """
+    p = params
+    rate = p.alpha - p.psi - p.mu
+    floor = p.cost_floor
+    cap = p.n * p.delta_c * (1.0 - p.beta * p.n)
+    stop = floor + FLOOR_TOL * p.n * p.delta_c
+    literal = mode == "literal"
+    n, local, width = p.n, p.n * p.c, p.n * p.beta * p.delta_c
+    half, sixth, minus_inf = 0.5 * dt, dt / 6.0, -math.inf
+    prices = [price]
+    if minus_inf < price <= stop:
+        return prices, True
+    for k in range(steps):
+        gap = price - floor
+        k1 = rate * (gap if gap < cap else cap)
+        if literal:
+            raw = (local - price) / width
+            k1 *= (raw if raw > n else n) / n
+        y = price + half * k1
+        if minus_inf < y <= stop:
+            return prices, True
+        gap = y - floor
+        k2 = rate * (gap if gap < cap else cap)
+        if literal:
+            raw = (local - y) / width
+            k2 *= (raw if raw > n else n) / n
+        y = price + half * k2
+        if minus_inf < y <= stop:
+            return prices, True
+        gap = y - floor
+        k3 = rate * (gap if gap < cap else cap)
+        if literal:
+            raw = (local - y) / width
+            k3 *= (raw if raw > n else n) / n
+        y = price + dt * k3
+        if minus_inf < y <= stop:
+            return prices, True
+        gap = y - floor
+        k4 = rate * (gap if gap < cap else cap)
+        if literal:
+            raw = (local - y) / width
+            k4 *= (raw if raw > n else n) / n
+        total = k1 + 2.0 * k2 + 2.0 * k3 + k4
+        # a non-finite stage makes the sum non-finite; finite stages can
+        # still overflow it, so the stages themselves decide
+        if not math.isfinite(total) and not all(map(math.isfinite, (k1, k2, k3, k4))):
+            raise NumericError(f"non-finite slope near t={k * dt!r}, value={price!r}")
+        price = price + sixth * total
+        if price <= stop:
+            return prices, True
+        prices.append(price)
+    return prices, False
+
+
 def simulate(config: ScenarioConfig) -> Trajectory:
     """Run the scenario and return the recorded path.
 
@@ -230,26 +272,12 @@ def simulate(config: ScenarioConfig) -> Trajectory:
     """
     params = config.resolved_params()
     steps = int(round(config.horizon / config.dt))
-    if steps < 1:
-        raise DomainError("horizon shorter than one step")
     demand, supply = DemandSide.closed_form(params), SupplySide.closed_form(params)
     mature = classify_regime(demand, supply, 0.0).is_mature
     floor_reached = False
     if mature:
         price = solve_equilibrium(demand, supply, 0.0, slope_mode=config.mode).price
-        stop = params.cost_floor + FLOOR_TOL * params.n * params.delta_c
-        slope = _reduced_slope(params, config.mode, stop)
-        prices = [price]
-        for k in range(steps):
-            try:
-                price = rk4_step(slope, k * config.dt, price, config.dt)
-            except _FloorCrossed:
-                floor_reached = True
-                break
-            if price <= stop:
-                floor_reached = True
-                break
-            prices.append(price)
+        prices, floor_reached = _decline_path(params, config.mode, price, config.dt, steps)
         path = np.array(prices)
     else:
         path = np.full(steps + 1, params.entry_price)

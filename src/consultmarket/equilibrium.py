@@ -100,15 +100,12 @@ def _client_inflow_flux(demand, t: float, price: float) -> float:
     return p.psi * r_cut * demand.density(t, r_cut)
 
 
-def classify_regime(demand, supply, t: float, p_test: float | None = None) -> RegimeLabel:
-    """Compare client inflow against provider training capacity.
+def _classify(demand, params, t: float, p_test: float) -> tuple[RegimeLabel, float]:
+    """The regime at test price ``p_test`` and the flow imbalance there.
 
-    Emerging iff psi*(p/v)*f(t, p/v) >= mu*D(t, p) at the test price
-    (default: the smallest provider's cost).  Ties classify as emerging.
+    The imbalance psi*(p/v)*f(t, p/v) - mu*D(t, p) is the entry flow when
+    ``p_test`` is the smallest provider's cost.
     """
-    params = supply.params
-    if p_test is None:
-        p_test = params.entry_price
     flux = _client_inflow_flux(demand, t, p_test)
     stock = demand.at(t, p_test)
     if stock <= 0:
@@ -117,7 +114,17 @@ def classify_regime(demand, supply, t: float, p_test: float | None = None) -> Re
     # the tie belongs to the emerging side; a relative slack keeps exact-tie
     # parameter choices there despite rounding in the flux evaluation
     tag = "emerging" if flux >= params.mu * stock * (1.0 - 1e-12) else "mature"
-    return RegimeLabel(tag=tag, margin=margin)
+    return RegimeLabel(tag=tag, margin=margin), flux - params.mu * stock
+
+
+def classify_regime(demand, supply, t: float, p_test: float | None = None) -> RegimeLabel:
+    """Compare client inflow against provider training capacity.
+
+    Emerging iff psi*(p/v)*f(t, p/v) >= mu*D(t, p) at the test price
+    (default: the smallest provider's cost).  Ties classify as emerging.
+    """
+    params = supply.params
+    return _classify(demand, params, t, params.entry_price if p_test is None else p_test)[0]
 
 
 def entry_rate(demand, supply, t: float) -> float:
@@ -126,12 +133,11 @@ def entry_rate(demand, supply, t: float) -> float:
     The gap between the client inflow flux and what incumbent growth
     absorbs, both evaluated at the smallest provider's cost.
     """
-    label = classify_regime(demand, supply, t)
+    params = supply.params
+    label, flow = _classify(demand, params, t, params.entry_price)
     if not label.is_emerging:
         raise RegimeError("entry_rate is defined only in the emerging regime")
-    params = supply.params
-    p_star = params.entry_price
-    return _client_inflow_flux(demand, t, p_star) - params.mu * demand.at(t, p_star)
+    return flow
 
 
 def exit_rate(supply, t: float, price: float, price_slope: float) -> float:
@@ -187,8 +193,10 @@ def solve_equilibrium(
 ) -> EquilibriumResult:
     """Clear the market at time ``t`` and classify the resulting state.
 
-    Bisects D(t, p) - S(t, p) on a bracket grown from v*r_m by doubling,
-    capped at the full local cost n*c.  Raises NumericError with the curve
+    Finds the root of D(t, p) - S(t, p) with Brent's method
+    (``numerics.find_root``) on a bracket from the cost floor to v*r_m,
+    grown by doubling and capped at the full local cost n*c, then
+    classifies the regime once.  Raises NumericError with the curve
     values at both bracket ends when no crossing exists.
     """
     params = supply.params
@@ -219,7 +227,7 @@ def solve_equilibrium(
 
     price = find_root(residual, Bracket(lo=lo, hi=hi, f_lo=f_lo, f_hi=f_hi), tol_abs)
     served = demand.at(t, price)
-    label = classify_regime(demand, supply, t)
+    label, entry_flow = _classify(demand, params, t, params.entry_price)
     marginal = min_viable_size(price, params)
     share = required_offshore_share(price, params)
 
@@ -232,7 +240,7 @@ def solve_equilibrium(
             marginal_size=marginal,
             required_share=share,
             price_slope=0.0,
-            entry_rate=entry_rate(demand, supply, t),
+            entry_rate=entry_flow,
         )
     slope = price_slope(demand, supply, t, price, slope_mode)
     return EquilibriumResult(

@@ -181,6 +181,20 @@ class TestScenarioConfigValidation:
         with pytest.raises(DomainError):
             ScenarioConfig(params=german_params, horizon=1.0, dt=2.0)
 
+    @pytest.mark.parametrize("dt", [0.3, 0.7])
+    def test_horizon_not_a_whole_number_of_steps(self, german_params, dt):
+        # round(1/0.3) = 3 steps would end the path at t = 0.9
+        with pytest.raises(DomainError):
+            ScenarioConfig(params=german_params, horizon=1.0, dt=dt)
+
+    # 0.3/0.1 and 0.7/0.1 divide to 2.9999999999999996 and 6.999999999999999
+    @pytest.mark.parametrize(
+        "horizon, dt", [(10.0, 0.01), (2.0, 0.001), (5.0, 0.1), (0.3, 0.1), (0.7, 0.1)]
+    )
+    def test_whole_number_of_steps_up_to_rounding(self, german_params, horizon, dt):
+        config = ScenarioConfig(params=german_params, horizon=horizon, dt=dt)
+        assert simulate(config).t[-1] == pytest.approx(horizon, rel=1e-12)
+
 
 class TestSweep:
     def test_drift_monotone_in_provider_growth(self):

@@ -1,15 +1,30 @@
-"""Quadrature, bisection, and RK4 kernels against analytic oracles."""
+"""Quadrature, Brent root finding, and RK4 kernels against analytic oracles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from consultmarket import Bracket, DensityGrid, DomainError, find_root, integrate_tail, step_path
-from consultmarket.errors import NoBracketError, NumericError
-from consultmarket.numerics import rk4_step
+from consultmarket import (
+    AnchorConditions,
+    Bracket,
+    DemandSide,
+    DensityGrid,
+    DomainError,
+    ModelParams,
+    SupplySide,
+    anchored_params,
+    find_root,
+    integrate_tail,
+    solve_equilibrium,
+    step_path,
+)
+from consultmarket.errors import ConsultMarketError, NoBracketError, NumericError
+from consultmarket.numerics import MAX_EXTRA_EVALS, rk4_step
+from consultmarket.scenarios import german_transport_params
 
 
 def make_zipf_grid(g0=3.125, lo=1.0, hi=5000.0, points=64) -> DensityGrid:
@@ -103,6 +118,204 @@ class TestFindRoot:
         f = lambda p: math.expm1(p) - 5.0
         bracket = Bracket.from_fn(f, 0.0, 10.0)
         assert find_root(f, bracket) == find_root(f, bracket)
+
+
+def counted(fn):
+    """``fn`` plus the list of points it has been evaluated at."""
+    calls = []
+
+    def wrapper(x):
+        calls.append(x)
+        return fn(x)
+
+    return wrapper, calls
+
+
+def reference_bisection(residual, lo, hi, tol):
+    """Plain bisection until the sign-change bracket is at most ``tol`` wide."""
+    f_lo = residual(lo)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        f_mid = residual(mid)
+        if f_lo * f_mid <= 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+def bisection_evals(lo, hi, tol):
+    count = 0
+    while hi - lo > tol:
+        hi = 0.5 * (lo + hi)
+        count += 1
+    return count
+
+
+def assert_near_sign_change(residual, x, bracket, tol):
+    """The residual changes sign (or is 0) within tol/2 of ``x``."""
+    left, right = max(x - 0.5 * tol, bracket.lo), min(x + 0.5 * tol, bracket.hi)
+    assert residual(left) * residual(right) <= 0
+
+
+@st.composite
+def anchored_markets(draw) -> ModelParams:
+    """Valid parameters anchored at a price between the floor and the entry price."""
+    n = draw(st.floats(min_value=1.0, max_value=10.0))
+    c = draw(st.floats(min_value=1e3, max_value=1e6))
+    psi = draw(st.floats(min_value=0.005, max_value=0.1))
+    provisional = ModelParams(
+        v=draw(st.floats(min_value=1e-3, max_value=0.2)),
+        n=n,
+        c=c,
+        delta_c=c * draw(st.floats(min_value=0.05, max_value=1.0)),
+        beta=draw(st.floats(min_value=1e-5, max_value=0.9)) / n,
+        psi=psi,
+        mu=draw(st.floats(min_value=0.0, max_value=0.4)),
+        alpha=psi + draw(st.floats(min_value=0.002, max_value=0.1)),
+        r_m=draw(st.floats(min_value=1e4, max_value=1e8)),
+        f0=1.0,
+        g0=1.0,
+    )
+    frac = draw(st.floats(min_value=0.05, max_value=0.95))
+    price0 = provisional.cost_floor + frac * (provisional.entry_price - provisional.cost_floor)
+    served0 = draw(st.floats(min_value=10.0, max_value=1e5))
+    return anchored_params(provisional, AnchorConditions(served0=served0, price0=price0))
+
+
+@st.composite
+def calibrated_markets(draw) -> ModelParams:
+    """The German scenario with its rates and anchors jittered and mu on either side of the tie."""
+    provisional = german_transport_params().replace(
+        psi=0.036 * draw(st.floats(min_value=0.9, max_value=1.1)),
+        alpha=0.073 * draw(st.floats(min_value=0.9, max_value=1.1)),
+        mu=draw(st.floats(min_value=0.01, max_value=0.09)),
+    )
+    anchors = AnchorConditions(
+        served0=draw(st.floats(min_value=5e3, max_value=1e4)),
+        price0=draw(st.floats(min_value=35e3, max_value=39e3)),
+    )
+    return anchored_params(provisional, anchors)
+
+
+def recorded_solve(params, t, grid):
+    """Clear the market through a find_root that records its call.
+
+    Returns (residual, bracket, tol, evaluation points, root), or None when
+    the solve raised before or instead of calling find_root.
+    """
+    if grid:
+        demand, supply = DemandSide.with_grid(params), SupplySide.with_grid(params)
+    else:
+        demand, supply = DemandSide.closed_form(params), SupplySide.closed_form(params)
+    solves = []
+
+    def recording_find_root(residual, bracket, tol_abs):
+        wrapped, calls = counted(residual)
+        root = find_root(wrapped, bracket, tol_abs)
+        solves.append((residual, bracket, tol_abs, calls, root))
+        return root
+
+    with mock.patch("consultmarket.equilibrium.find_root", recording_find_root):
+        try:
+            solve_equilibrium(demand, supply, t)
+        except ConsultMarketError:
+            pass  # no crossing at this t, or no demand to classify at the entry price
+    return solves[0] if solves else None
+
+
+def assert_bisection_contract(solve):
+    """Within tol/2 of a sign change, within tol of plain bisection, and
+    never more than MAX_EXTRA_EVALS evaluations beyond it."""
+    residual, bracket, tol, calls, root = solve
+    assert bracket.lo <= root <= bracket.hi
+    assert_near_sign_change(residual, root, bracket, tol)
+    assert root == pytest.approx(reference_bisection(residual, bracket.lo, bracket.hi, tol), abs=tol)
+    assert len(calls) <= bisection_evals(bracket.lo, bracket.hi, tol) + MAX_EXTRA_EVALS
+
+
+class TestBrent:
+    """find_root against plain bisection: same contract, far fewer evaluations."""
+
+    @given(params=anchored_markets(), t=st.floats(min_value=0.0, max_value=20.0), grid=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_clearing_solves_keep_the_bisection_contract(self, params, t, grid):
+        solve = recorded_solve(params, t, grid)
+        assume(solve is not None)
+        assert_bisection_contract(solve)
+
+    @given(params=calibrated_markets(), t=st.floats(min_value=0.0, max_value=10.0), grid=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_calibrated_solves_take_few_evaluations(self, params, t, grid):
+        # plain bisection needs 33 to 35 evaluations on these brackets
+        solve = recorded_solve(params, t, grid)
+        assume(solve is not None)
+        assert_bisection_contract(solve)
+        if not grid:
+            assert len(solve[3]) <= 10
+
+    @pytest.mark.parametrize("lo, hi", [(3.0, 10.0), (0.0, 3.0)])
+    def test_exact_zero_at_bracket_end(self, lo, hi):
+        wrapped, calls = counted(lambda p: p - 3.0)
+        assert find_root(wrapped, Bracket.from_fn(wrapped, lo, hi), 1e-9) == 3.0
+        assert len(calls) == 2  # the two ends, evaluated by Bracket.from_fn
+
+    def test_exact_zero_at_an_iterate(self):
+        # the first secant step lands on the root exactly
+        wrapped, calls = counted(lambda p: 2.0 * p - 6.0)
+        bracket = Bracket.from_fn(lambda p: 2.0 * p - 6.0, 0.0, 10.0)
+        assert find_root(wrapped, bracket, 1e-9) == 3.0
+        assert len(calls) == 1
+
+    @given(
+        jump=st.floats(min_value=0.01, max_value=9.99),
+        below=st.sampled_from([-1e-3, -1.0, -3.0, -1e6]),
+        above=st.sampled_from([1e-3, 1.0, 3.0, 1e6]),
+        slope=st.sampled_from([0.0, 1.0, 1e3]),
+        tol=st.sampled_from([1e-3, 1e-6, 1e-9]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_discontinuous_step_residual(self, jump, below, above, slope, tol):
+        # a step at ``jump`` on top of a cubic; interpolation keeps proposing
+        # points on the shallow side, and the forced bisections bound the cost
+        def residual(p):
+            return slope * (p - jump) ** 3 + (above if p > jump else below)
+
+        bracket = Bracket.from_fn(residual, 0.0, 10.0)
+        wrapped, calls = counted(residual)
+        root = find_root(wrapped, bracket, tol)
+        assert abs(root - jump) <= 0.5 * tol
+        assert len(calls) <= bisection_evals(0.0, 10.0, tol) + MAX_EXTRA_EVALS
+
+    def test_saturating_supply_kink(self, german_params):
+        # closed-form supply is affine up to the entry price and flat above
+        # it; demand outgrows supply, so the crossing reaches the kink at
+        # t_kink and sits in the flat part just after
+        p = german_params
+        demand, supply = DemandSide.closed_form(p), SupplySide.closed_form(p)
+        t_kink = math.log(supply.at(0.0, p.entry_price) / demand.at(0.0, p.entry_price)) / (p.alpha - p.mu)
+        for t in (t_kink - 0.01, t_kink, t_kink + 1e-3):
+
+            def residual(x):
+                return demand.at(t, x) - supply.at(t, x)
+
+            bracket = Bracket.from_fn(residual, p.cost_floor, p.full_local_cost)
+            wrapped, calls = counted(residual)
+            root = find_root(wrapped, bracket, 1e-6)
+            assert_near_sign_change(residual, root, bracket, 1e-6)
+            assert root == pytest.approx(reference_bisection(residual, bracket.lo, bracket.hi, 1e-6), abs=1e-6)
+            assert len(calls) <= 10
+        # past the kink D(t, p) equals the saturated supply: invert the power law
+        saturated = supply.at(t, p.full_local_cost)
+        scale = demand.at(t, p.v * p.r_m)  # D at the tail's start, r_cut = r_m
+        analytic = p.v * p.r_m * (saturated / scale) ** (1.0 / (1.0 - p.alpha / p.psi))
+        assert p.entry_price < analytic < p.full_local_cost
+        assert root == pytest.approx(analytic, abs=1e-6)
+
+    def test_grid_solve_bit_identical_reruns(self, german_params):
+        demand, supply = DemandSide.with_grid(german_params), SupplySide.with_grid(german_params)
+        first = solve_equilibrium(demand, supply, 3.0).price
+        assert solve_equilibrium(demand, supply, 3.0).price == first
 
 
 class TestStepPath:

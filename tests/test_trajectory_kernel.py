@@ -1,8 +1,10 @@
 """The closed-form simulate kernel against the scalar functions it replaces.
 
-The reduced decline law and every recorded column are checked against
-``price_slope``, the curve sides and the cost algebra on random valid
-parameter sets, and the columnar ``Trajectory`` against its contract.
+The reduced decline law, written out here, is checked against
+``price_slope``, and simulated prices against ``step_path`` of that law bit
+for bit; every recorded column is checked against the curve sides and the
+cost algebra on random valid parameter sets, and the columnar
+``Trajectory`` against its contract.
 """
 
 import pytest
@@ -24,12 +26,27 @@ from consultmarket import (
     profitability_threshold_size,
     required_offshore_share,
     simulate,
+    step_path,
 )
-from consultmarket.dynamics import COLUMNS, _reduced_slope
+from consultmarket.dynamics import COLUMNS
 from consultmarket.model import ModelParams
 from consultmarket.scenarios import german_transport_scenario
 
 MODES = st.sampled_from(("capacity", "literal"))
+
+
+def reduced_law(params: ModelParams, mode: str):
+    """The reduced decline law of the ``dynamics`` module docstring, written out."""
+    p = params
+    rate = p.alpha - p.psi - p.mu
+    cap = p.n * p.delta_c * (1.0 - p.beta * p.n)
+    if mode == "capacity":
+        return lambda t, price: rate * min(price - p.cost_floor, cap)
+    return lambda t, price: (
+        rate
+        * min(price - p.cost_floor, cap)
+        * (max((p.n * p.c - price) / (p.n * p.beta * p.delta_c), p.n) / p.n)
+    )
 
 
 @st.composite
@@ -70,7 +87,7 @@ def test_reduced_slope_equals_price_slope(params, mode, t, frac):
     price = params.cost_floor + frac * params.n * params.delta_c
     assume(params.cost_floor < price <= params.full_local_cost)
     demand, supply = DemandSide.closed_form(params), SupplySide.closed_form(params)
-    reduced = _reduced_slope(params, mode, params.cost_floor)(t, price)
+    reduced = reduced_law(params, mode)(t, price)
     assert reduced == pytest.approx(price_slope(demand, supply, t, price, mode), rel=1e-10)
 
 
@@ -118,6 +135,29 @@ def test_columns_equal_their_scalar_functions(config):
                 profitability_threshold_size(point.price_slope, params), rel=1e-12
             )
             assert point.entry_rate == 0.0
+
+
+def assert_path_is_step_path_of_reduced_law(config: ScenarioConfig) -> None:
+    traj = simulate(config)
+    law = reduced_law(config.resolved_params(), config.mode)
+    reference = step_path(law, 0.0, float(traj.price[0]), config.dt, len(traj) - 1)
+    assert traj.price.tolist() == reference[:, 1].tolist()
+
+
+@pytest.mark.parametrize("mode", ["capacity", "literal"])
+def test_german_path_is_step_path_of_reduced_law(mode):
+    # the literal path stops at the floor after 32 rows, the capacity path
+    # runs the whole horizon
+    assert_path_is_step_path_of_reduced_law(german_transport_scenario(mu=0.05, mode=mode))
+
+
+@given(config=anchored_scenarios())
+@settings(max_examples=150, deadline=None)
+def test_mature_path_is_step_path_of_reduced_law(config):
+    params = config.resolved_params()
+    assume(params.mu > params.alpha - params.psi)
+    assume(len(simulate(config)) > 1)
+    assert_path_is_step_path_of_reduced_law(config)
 
 
 class TestTrajectory:
