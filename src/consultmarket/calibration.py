@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .errors import DataError, DomainError
-from .model import ModelParams
+from .model import ModelParams, demand_curve, supply_curve
 
 __all__ = [
     "YearRecord",
@@ -103,10 +103,10 @@ class AnchorConditions:
     price0: float
 
     def __post_init__(self) -> None:
-        if self.served0 <= 0:
-            raise DomainError(f"served0 must be positive, got {self.served0!r}")
-        if self.price0 <= 0:
-            raise DomainError(f"price0 must be positive, got {self.price0!r}")
+        for name in ("served0", "price0"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be finite and positive, got {value!r}")
 
 
 class RateEstimates(NamedTuple):
@@ -167,11 +167,10 @@ def fit_zipf(histogram: Sequence[SizeBucket]) -> ZipfFit:
 def anchor_normalizations(params: ModelParams, anchors: AnchorConditions) -> tuple[float, float]:
     """Invert both closed forms at t = 0 to pin (f0, g0) from the anchors.
 
-    f0 makes the demand at the anchor price equal served0; g0 makes the
-    supply there equal served0.  Both curves then pass through the anchor
-    point, so for anchor prices below the smallest provider's cost
-    (where supply is still price-responsive) the cleared price reproduces
-    price0 exactly.
+    D is linear in f0 and S in g0, so f0 = served0 / D(f0=1, t=0, price0)
+    and g0 = served0 / S(g0=1, t=0, price0).  Both curves then pass through
+    the anchor point, so the cleared price reproduces price0 exactly.
+    Raises DomainError unless both come out finite and positive.
     """
     p = params
     if not p.cost_floor < anchors.price0 <= p.full_local_cost:
@@ -179,18 +178,12 @@ def anchor_normalizations(params: ModelParams, anchors: AnchorConditions) -> tup
             f"anchor price {anchors.price0!r} must lie in ({p.cost_floor!r},"
             f" {p.full_local_cost!r}]"
         )
-    # demand inversion: power-law tail when the affordability cut bites,
-    # population count when the anchor price is below v*r_m
-    cut_ratio = max((anchors.price0 / p.v) / p.r_m, 1.0)
-    tail = (
-        p.alpha
-        * (p.psi / (p.alpha - p.psi))
-        * p.r_m
-        * cut_ratio ** (1.0 - p.alpha / p.psi)
-    )
-    f0 = anchors.served0 / tail
-    share_term = 1.0 + (anchors.price0 - p.full_local_cost) / (p.n * p.delta_c)
-    g0 = anchors.served0 * p.n * p.beta / share_term
+    unit = replace(p, f0=1.0, g0=1.0)
+    demand, supply = demand_curve(unit, 1.0, anchors.price0), supply_curve(unit, 1.0, anchors.price0)
+    f0 = anchors.served0 / demand if demand > 0 else math.inf
+    g0 = anchors.served0 / supply if supply > 0 else math.inf
+    if not (math.isfinite(f0) and math.isfinite(g0)):
+        raise DomainError(f"anchor solve gives no finite normalization: f0={f0!r}, g0={g0!r}")
     return f0, g0
 
 

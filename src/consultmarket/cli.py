@@ -17,6 +17,7 @@ Config files are INI-style text (``key = value`` under ``[section]``,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -39,6 +40,7 @@ from .dynamics import COLUMNS, ScenarioConfig, Trajectory, cumulative_flow, simu
 from .equilibrium import classify_regime, solve_equilibrium
 from .errors import ConsultMarketError, DataError, DomainError
 from .model import ModelParams
+from .scenarios import german_transport_anchors, german_transport_params
 
 __all__ = ["run", "main", "RunConfig"]
 
@@ -85,16 +87,9 @@ def _write_atomic(path: Path, text: str) -> None:
 class RunConfig:
     """Config-file values merged with flag overrides, fully validated."""
 
-    params: ModelParams
-    anchors: AnchorConditions | None
-    mode: str
-    horizon: float
-    dt: float
+    scenario: ScenarioConfig
     t: float
     io: dict[str, str]
-
-    def scenario(self) -> ScenarioConfig:
-        return ScenarioConfig(self.params, self.mode, self.horizon, self.dt, self.anchors)
 
 
 def _parse_float(section: str, key: str, raw: str, path: str) -> float:
@@ -130,15 +125,13 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
                 raise DataError(f"unknown key {key!r} in [{section}]", path=str(path))
 
     market = _float_section(parser, "market", path)
-    anchors = None
-    if parser.has_section("anchors"):
-        vals = _float_section(parser, "anchors", path)
-        missing = [k for k in ANCHOR_KEYS if k not in vals]
+    anchors = _float_section(parser, "anchors", path) if parser.has_section("anchors") else None
+    if anchors is not None:
+        missing = [k for k in ANCHOR_KEYS if k not in anchors]
         if missing:
             raise DataError(f"[anchors] missing {', '.join(missing)}", path=str(path))
-        anchors = AnchorConditions(served0=vals["served0"], price0=vals["price0"])
 
-    dynamics: dict = {"mode": "capacity", "horizon": 10.0, "dt": 0.01, "t": 0.0}
+    dynamics: dict = {"t": 0.0}  # ScenarioConfig holds the other defaults
     if parser.has_section("dynamics"):
         for key, raw in parser["dynamics"].items():
             dynamics[key] = raw.strip() if key == "mode" else _parse_float("dynamics", key, raw, str(path))
@@ -165,25 +158,24 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
             f"[market] {', '.join(need_anchor)} absent and no [anchors] section to pin them",
             path=str(path),
         )
+    t = dynamics.pop("t")
     try:
+        conditions = None if anchors is None else AnchorConditions(**anchors)
+        params = ModelParams(**{"f0": 1.0, "g0": 1.0, **market})
         if need_anchor:
-            provisional = ModelParams(**{**market, "f0": market.get("f0", 1.0), "g0": market.get("g0", 1.0)})
-            assert anchors is not None
-            resolved = anchored_params(provisional, anchors)
-            params = provisional.replace(
-                f0=resolved.f0 if "f0" not in market else market["f0"],
-                g0=resolved.g0 if "g0" not in market else market["g0"],
-            )
-        else:
-            params = ModelParams(**market)
+            resolved = anchored_params(params, conditions)
+            params = params.replace(**{k: getattr(resolved, k) for k in need_anchor})
+        scenario = ScenarioConfig(params, anchors=conditions, **dynamics)
+        if not (math.isfinite(t) and t >= 0):
+            raise DomainError(f"t must be finite and >= 0, got {t!r}")
     except DomainError as exc:
-        raise DataError(f"invalid market parameters: {exc}", path=str(path)) from None
-
-    return RunConfig(params=params, anchors=anchors, **dynamics, io=io)
+        raise DataError(f"invalid config: {exc}", path=str(path)) from None
+    return RunConfig(scenario=scenario, t=t, io=io)
 
 
 def _curve_sides(cfg: RunConfig) -> tuple[DemandSide, SupplySide]:
-    return DemandSide.closed_form(cfg.params), SupplySide.closed_form(cfg.params)
+    params = cfg.scenario.params
+    return DemandSide.closed_form(params), SupplySide.closed_form(params)
 
 
 def _columns_csv(header: str, columns: list[list[float]], formats: tuple[str, ...]) -> str:
@@ -193,7 +185,7 @@ def _columns_csv(header: str, columns: list[list[float]], formats: tuple[str, ..
 
 def _fig2_csv(cfg: RunConfig, t: float, points: int = 251) -> str:
     demand, supply = _curve_sides(cfg)
-    prices = np.linspace(cfg.params.cost_floor, cfg.params.full_local_cost, points)
+    prices = np.linspace(demand.params.cost_floor, demand.params.full_local_cost, points)
     columns = [prices.tolist(), [demand.at(t, x) for x in prices], [supply.at(t, x) for x in prices]]
     return _columns_csv("price,demand,supply", columns, (CURRENCY,) * 3)
 
@@ -215,7 +207,7 @@ def _fig3_csv(traj: Trajectory) -> str:
 def _cmd_solve(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, {"t": args.t, "fig2": args.fig2})
     demand, supply = _curve_sides(cfg)
-    result = solve_equilibrium(demand, supply, cfg.t, slope_mode=cfg.mode)
+    result = solve_equilibrium(demand, supply, cfg.t, slope_mode=cfg.scenario.mode)
     print(f"price={_fmt_currency(result.price)}")
     print(f"regime={result.regime.tag}")
     print(f"required_share={_fmt_fraction(result.required_share)}")
@@ -248,7 +240,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, {**flags, "trajectory": args.out})
     if "trajectory" not in cfg.io:
         raise UsageError("simulate needs --out <csv> (or [io] trajectory in the config)")
-    traj = simulate(cfg.scenario())
+    traj = simulate(cfg.scenario)
     out = Path(cfg.io["trajectory"])
     _write_atomic(out, _trajectory_csv(traj))
     if "fig3" in cfg.io:
@@ -277,7 +269,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, {"sweep": args.out})
     if "sweep" not in cfg.io:
         raise UsageError("sweep needs --out <csv> (or [io] sweep in the config)")
-    rows = sweep(cfg.scenario(), name, lo, hi, step)
+    rows = sweep(cfg.scenario, name, lo, hi, step)
     header = "final_price,price_drift_pct_per_year,share_gain_pp_per_year,total_exits,floor_reached,error"
     lines = [f"{name},{header}"]
     for row in rows:
@@ -302,19 +294,10 @@ _CALIBRATE_TEMPLATE = """\
 # remaining market constants and anchors are scenario assumptions; edit to taste.
 
 [market]
-v = 0.025
-n = 1
-c = 50000
-delta_c = 25000
-beta = 0.0002
-psi = {psi:.9g}
-mu = 0.05
-alpha = {alpha:.9g}
-r_m = {r_m:.9g}
-{g0_line}
+{market}
 [anchors]
-served0 = 7500
-price0 = 37000
+served0 = {anchors.served0:g}
+price0 = {anchors.price0:g}
 
 [dynamics]
 mode = capacity
@@ -326,28 +309,31 @@ t = 0
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     series = load_series(args.series)
-    rates = estimate_rates(series)
-    g0_line = ""
+    rates = estimate_rates(series)._asdict()
+    # the estimated rates, and the German scenario's values for the rest
+    assumed = german_transport_params()
+    market = [
+        f"{key} = {rates[key]:.9g}" if key in rates else f"{key} = {getattr(assumed, key):g}"
+        for key in MARKET_KEYS[:-2]
+    ]
     g0_note = ""
     if args.sizes is not None:
         fit = fit_zipf(load_size_histogram(args.sizes))
-        g0_line = f"g0 = {fit.g0:.9g}\n"
+        market.append(f"g0 = {fit.g0:.9g}")
         g0_note = "; g0 from the size histogram"
         print(f"zipf fit: g0={fit.g0:.6g}, log residual={fit.residual:.3g}")
     text = _CALIBRATE_TEMPLATE.format(
         series=args.series,
-        psi=rates.psi,
-        alpha=rates.alpha,
-        r_m=rates.r_m,
-        g0_line=g0_line,
         g0_note=g0_note,
+        market="".join(line + "\n" for line in market),
+        anchors=german_transport_anchors(),
     )
     out = Path(args.out)
     _write_atomic(out, text)
     load_config(out)  # fail fast if the emitted config would not round-trip
     print(
-        f"calibrate: psi={rates.psi:.6g}, alpha={rates.alpha:.6g}, "
-        f"r_m={rates.r_m:.6g}, wrote {out}"
+        f"calibrate: psi={rates['psi']:.6g}, alpha={rates['alpha']:.6g}, "
+        f"r_m={rates['r_m']:.6g}, wrote {out}"
     )
     return EXIT_OK
 
@@ -413,3 +399,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

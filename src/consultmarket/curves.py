@@ -1,23 +1,13 @@
 """Demand and supply sides of the services market.
 
-Closed forms
-------------
 Client firms follow Gibrat growth at rate psi with entrants arriving at
 revenue r_m under a constant birth rate alpha, which yields the power-law
-density
-
-    f(t, r) = alpha * f0 * exp(alpha*t) * (r/r_m)^(-alpha/psi),   r >= r_m
-
-and the demand tail integral
-
-    D(t, p) = alpha * f0 * exp(alpha*t) * (psi/(alpha-psi)) * r_m
-              * ((p/v)/r_m)^(1 - alpha/psi).
-
-Providers start Zipf-distributed, g(0, e) = g0/e on [n, 1/beta], and grow
-at rate mu, so g(t, e) = g0 * exp(mu*t) / e and the employee-weighted
-supply integral collapses to an affine function of price that vanishes at
-the cost floor n*(c - delta_c) and saturates once even the smallest
-provider is viable.
+density f(t, r) = alpha * f0 * exp(alpha*t) * (r/r_m)^(-alpha/psi) on
+r >= r_m; demand D(t, p) is its tail from r = p/v.  Providers start
+Zipf-distributed, g(0, e) = g0/e on [n, 1/beta], and grow at rate mu, so
+the employee-weighted supply integral S(t, p) is affine in price from 0 at
+the cost floor n*(c - delta_c) until even the smallest provider is viable,
+then flat.  The closed forms are written in ``model``.
 
 Each side can also carry a sampled density grid; the quadrature route
 through that grid is the independent numeric cross-check of the closed
@@ -33,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BelowCostFloorError, DomainError
-from .model import ModelParams, min_viable_size
+from .model import ModelParams, demand_curve, demand_density, min_viable_size, supply_curve, supply_density
 from .numerics import DEFAULT_GRID_POINTS, DensityGrid, integrate_tail
 
 __all__ = [
@@ -49,13 +39,6 @@ __all__ = [
 # closed form stays primary.
 DEMAND_CAP_FACTOR = 1e3
 
-Mode = str  # "closed" | "numeric"
-
-
-def _check_mode(mode: Mode) -> None:
-    if mode not in ("closed", "numeric"):
-        raise DomainError(f"mode must be 'closed' or 'numeric', got {mode!r}")
-
 
 def _check_time(t: float) -> None:
     if not (math.isfinite(t) and t >= 0):
@@ -66,18 +49,15 @@ def _check_time(t: float) -> None:
 class DemandSide:
     """Client demand for the service: density over firm revenue plus its tail.
 
-    ``grid`` holds the t=0 density sampled on a log axis; time enters
-    through the separable factor exp(alpha*t).
+    Without a ``grid`` every value is a closed form of ``model``.  A grid
+    holds the t=0 density sampled on a log axis and routes values through
+    quadrature; time enters through the separable factor exp(alpha*t).
     """
 
     params: ModelParams
     grid: DensityGrid | None = None
-    mode: Mode = "closed"
 
     def __post_init__(self) -> None:
-        _check_mode(self.mode)
-        if self.mode == "numeric" and self.grid is None:
-            raise DomainError("numeric mode requires a density grid")
         if self.grid is not None:
             if self.grid.lower_bound != self.params.r_m:
                 raise DomainError("demand grid must start at the entrant revenue r_m")
@@ -98,82 +78,58 @@ class DemandSide:
         points: int = DEFAULT_GRID_POINTS,
     ) -> "DemandSide":
         """Sample the t=0 density on [r_m, cap_factor * r_m] for numeric use."""
-        if cap_factor < DEMAND_CAP_FACTOR:
-            raise DomainError(f"cap_factor must be >= {DEMAND_CAP_FACTOR:g}")
-        p = params
         grid = DensityGrid.log_spaced(
-            p.r_m,
-            cap_factor * p.r_m,
-            lambda r: p.alpha * p.f0 * (r / p.r_m) ** (-p.alpha / p.psi),
-            points=points,
+            params.r_m, cap_factor * params.r_m, lambda r: demand_density(params, 1.0, r), points=points
         )
-        return cls(params=params, grid=grid, mode="numeric")
+        return cls(params=params, grid=grid)
 
     def density(self, t: float, r: float) -> float:
         """f(t, r): firms per unit revenue at revenue ``r``.
 
-        Numeric sides interpolate their grid on its span and fall back to
-        the closed form past the axis cap.
+        Grid-backed sides interpolate their grid on its span and fall back
+        to the closed form past the axis cap.
         """
         _check_time(t)
         p = self.params
         if r < p.r_m:
             raise DomainError(f"revenue {r!r} below the entrant revenue {p.r_m!r}")
         growth = math.exp(p.alpha * t)
-        if self.mode == "numeric" and self.grid is not None and r <= self.grid.upper_bound:
+        if self.grid is not None and r <= self.grid.upper_bound:
             return growth * self.grid.interp(r)
-        return p.alpha * p.f0 * growth * (r / p.r_m) ** (-p.alpha / p.psi)
+        return demand_density(p, growth, r)
 
-    def population(self, t: float) -> float:
-        """Total client firms at time t (demand with every incumbent buying)."""
-        _check_time(t)
-        p = self.params
-        return p.alpha * p.f0 * math.exp(p.alpha * t) * p.r_m * p.psi / (p.alpha - p.psi)
-
-    def at(self, t: float, price: float, mode: Mode | None = None) -> float:
+    def at(self, t: float, price: float) -> float:
         """D(t, p): client firms whose benefit v*r covers the price.
 
         Below v*r_m every incumbent demands and the full population count
-        is returned.
+        is returned; a grid-backed side counts nothing past its axis cap.
         """
         _check_time(t)
         p = self.params
         if not math.isfinite(price) or price < 0:
             raise DomainError(f"price must be finite and >= 0, got {price!r}")
-        mode = self.mode if mode is None else mode
-        _check_mode(mode)
+        growth = math.exp(p.alpha * t)
+        if self.grid is None:
+            return demand_curve(p, growth, price)
         r_cut = price / p.v
-        if mode == "numeric":
-            if self.grid is None:
-                raise DomainError("numeric mode requires a density grid")
-            if r_cut >= self.grid.upper_bound:
-                return 0.0
-            start = max(r_cut, self.grid.lower_bound)
-            return math.exp(p.alpha * t) * integrate_tail(self.grid, start, weight="none")
-        if r_cut <= p.r_m:
-            return self.population(t)
-        return (
-            p.alpha
-            * p.f0
-            * math.exp(p.alpha * t)
-            * (p.psi / (p.alpha - p.psi))
-            * p.r_m
-            * (r_cut / p.r_m) ** (1.0 - p.alpha / p.psi)
-        )
+        if r_cut >= self.grid.upper_bound:
+            return 0.0
+        start = max(r_cut, self.grid.lower_bound)
+        return growth * integrate_tail(self.grid, start, weight="none")
 
 
 @dataclass(frozen=True)
 class SupplySide:
-    """Provider supply: Zipf size density on [n, 1/beta] growing at rate mu."""
+    """Provider supply: Zipf size density on [n, 1/beta] growing at rate mu.
+
+    Without a ``grid`` every value is a closed form of ``model``; a grid
+    routes values through quadrature.
+    """
 
     params: ModelParams
     grid: DensityGrid | None = None
-    mode: Mode = "closed"
 
     def __post_init__(self) -> None:
-        _check_mode(self.mode)
-        if self.mode == "numeric" and self.grid is None:
-            raise DomainError("numeric mode requires a density grid")
         if self.grid is not None:
             b = self.params.bounds
             if self.grid.lower_bound != b.e_min_domain or self.grid.upper_bound != b.e_max_domain:
@@ -185,11 +141,10 @@ class SupplySide:
 
     @classmethod
     def with_grid(cls, params: ModelParams, points: int = DEFAULT_GRID_POINTS) -> "SupplySide":
-        p = params
         grid = DensityGrid.log_spaced(
-            p.n, 1.0 / p.beta, lambda e: p.g0 / e, points=points
+            params.n, 1.0 / params.beta, lambda e: supply_density(params, 1.0, e), points=points
         )
-        return cls(params=params, grid=grid, mode="numeric")
+        return cls(params=params, grid=grid)
 
     def density(self, t: float, e: float) -> float:
         """g(t, e): provider firms per employee at size ``e``."""
@@ -200,11 +155,11 @@ class SupplySide:
                 f"size {e!r} outside provider domain [{b.e_min_domain!r}, {b.e_max_domain!r}]"
             )
         growth = math.exp(self.params.mu * t)
-        if self.mode == "numeric" and self.grid is not None:
+        if self.grid is not None:
             return growth * self.grid.interp(e)
-        return self.params.g0 * growth / e
+        return supply_density(self.params, growth, e)
 
-    def at(self, t: float, price: float, mode: Mode | None = None) -> float:
+    def at(self, t: float, price: float) -> float:
         """S(t, p): client engagements deliverable profitably at ``price``.
 
         Zero at the cost floor, affine in price up to the point where even
@@ -224,30 +179,11 @@ class SupplySide:
             )
         if price == p.cost_floor:
             return 0.0
-        mode = self.mode if mode is None else mode
-        _check_mode(mode)
         growth = math.exp(p.mu * t)
-        if mode == "numeric":
-            if self.grid is None:
-                raise DomainError("numeric mode requires a density grid")
-            e_min = min(min_viable_size(price, p), self.grid.upper_bound)
-            return growth * integrate_tail(self.grid, e_min, weight="identity") / p.n
-        # share of activity the marginal provider must displace; the affine
-        # closed form saturates once the marginal size clamps at n
-        share_term = 1.0 + (price - p.full_local_cost) / (p.n * p.delta_c)
-        share_term = min(share_term, 1.0 - p.beta * p.n)
-        return growth * p.g0 / (p.n * p.beta) * share_term
-
-    def marginal_capacity_slope(self, t: float, price: float) -> float:
-        """dS/dp: extra serviceable clients per unit of price.
-
-        Equals e_min * g(t, e_min) / (n^2 * beta * delta_c), the marginal
-        provider's client capacity times the rate at which providers cross
-        the viability threshold.
-        """
-        p = self.params
-        e_min = min_viable_size(price, p)
-        return e_min * self.density(t, e_min) / (p.n**2 * p.beta * p.delta_c)
+        if self.grid is None:
+            return supply_curve(p, growth, price)
+        e_min = min(min_viable_size(price, p), self.grid.upper_bound)
+        return growth * integrate_tail(self.grid, e_min, weight="identity") / p.n
 
 
 class EvolvedDensity(NamedTuple):

@@ -25,8 +25,8 @@ is marked ``floor_reached``, so every recorded price stays above the floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Iterator
+from dataclasses import dataclass, replace
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -34,7 +34,10 @@ from .calibration import AnchorConditions, anchored_params
 from .curves import DemandSide, SupplySide
 from .equilibrium import SLOPE_MODES, classify_regime, solve_equilibrium
 from .errors import ConsultMarketError, DomainError, NumericError
-from .model import ModelParams
+from .model import (
+    ModelParams, decline_slope, demand_curve, demand_density, exit_flow, inflow_flux, marginal_size,
+    profit_frontier, required_share, supply_curve, supply_density,
+)
 
 __all__ = [
     "TrajectoryPoint", "Trajectory", "TrajectorySummary", "ScenarioConfig", "SweepRow",
@@ -46,8 +49,7 @@ __all__ = [
 FLOOR_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
     """One time step of the simulated market path."""
 
     t: float
@@ -62,7 +64,7 @@ class TrajectoryPoint:
     profit_frontier: float
 
 
-COLUMNS = tuple(f.name for f in fields(TrajectoryPoint))
+COLUMNS = TrajectoryPoint._fields
 
 
 @dataclass(frozen=True)
@@ -134,8 +136,7 @@ class Trajectory:
         return len(self.t)
 
     def __iter__(self) -> Iterator[TrajectoryPoint]:
-        rows = zip(*(getattr(self, name).tolist() for name in COLUMNS))
-        return (TrajectoryPoint(*row) for row in rows)
+        return map(TrajectoryPoint._make, zip(*(getattr(self, name).tolist() for name in COLUMNS)))
 
     @property
     def points(self) -> tuple[TrajectoryPoint, ...]:
@@ -163,40 +164,30 @@ class TrajectorySummary:
 def _columns(
     params: ModelParams, mode: str, t: np.ndarray, price: np.ndarray, mature: bool
 ) -> dict[str, np.ndarray]:
-    """Every recorded column in one numpy pass over the time and price arrays.
-
-    Each expression keeps the operation order of its scalar counterpart:
-    DemandSide.at, SupplySide.at, min_viable_size, required_offshore_share,
-    the reduced slope, entry_rate, exit_rate, profitability_threshold_size.
-    """
+    """Every recorded column in one numpy pass over the time and price arrays,
+    through the closed forms of ``model``."""
     p = params
-    marginal = np.maximum((p.n * p.c - price) / (p.n * p.beta * p.delta_c), p.n)
-    demand_growth = p.alpha * p.f0 * np.exp(p.alpha * t)
+    demand_growth = np.exp(p.alpha * t)
     supply_growth = np.exp(p.mu * t)
-    r_cut = price / p.v
-    tail = demand_growth * (p.psi / (p.alpha - p.psi)) * p.r_m * (r_cut / p.r_m) ** (1.0 - p.alpha / p.psi)
-    demand = np.where(r_cut <= p.r_m, demand_growth * p.r_m * p.psi / (p.alpha - p.psi), tail)
-    share_term = np.minimum(1.0 + (price - p.full_local_cost) / (p.n * p.delta_c), 1.0 - p.beta * p.n)
+    marginal = marginal_size(p, price)
+    demand = demand_curve(p, demand_growth, price)
     slope = entry = frontier = np.zeros_like(t)
     if mature:
-        cap = p.n * p.delta_c * (1.0 - p.beta * p.n)
-        slope = (p.alpha - p.psi - p.mu) * np.minimum(price - p.cost_floor, cap)
-        if mode == "literal":
-            slope = slope * (marginal / p.n)
-        frontier = np.abs(slope) / (p.beta * p.mu * p.n * p.delta_c)
-    else:
-        cut = max(p.entry_price / p.v, p.r_m)  # the price is pinned at entry_price
-        entry = p.psi * cut * (demand_growth * (cut / p.r_m) ** (-p.alpha / p.psi)) - p.mu * demand
+        slope = decline_slope(p, price, mode == "literal")
+        frontier = profit_frontier(p, slope)
+    else:  # the price is pinned at entry_price
+        flux = inflow_flux(p, p.entry_price, lambda r: demand_density(p, demand_growth, r))
+        entry = flux - p.mu * demand
     return dict(
         t=t,
         price=price,
         price_slope=slope,
-        required_share=(p.n * p.c - price) / (p.n * p.delta_c),
+        required_share=required_share(p, price),
         marginal_size=marginal,
         demand=demand,
-        supply=supply_growth * p.g0 / (p.n * p.beta) * share_term,
+        supply=supply_curve(p, supply_growth, price),
         entry_rate=entry,
-        exit_rate=p.g0 * supply_growth / marginal * np.abs(slope) / (p.n * p.beta * p.delta_c),
+        exit_rate=exit_flow(p, supply_density(p, supply_growth, marginal), slope),
         profit_frontier=frontier,
     )
 

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import DomainError, NumericError, RegimeError
-from .model import min_viable_size, required_offshore_share
+from .model import exit_flow, inflow_flux, min_viable_size, required_offshore_share
 from .numerics import DEFAULT_PRICE_TOL, Bracket, find_root
 
 __all__ = [
@@ -88,33 +89,22 @@ class EquilibriumResult:
         return 1.0 - self.required_share
 
 
-def _client_inflow_flux(demand, t: float, price: float) -> float:
-    """psi * r * f(t, r): clients crossing the affordability cut per year.
-
-    The cut r = p/v saturates at the entrant revenue: below v*r_m every
-    client is already served and the only newly served inflow is the
-    entrant boundary flux.
-    """
-    p = demand.params
-    r_cut = max(price / p.v, p.r_m)
-    return p.psi * r_cut * demand.density(t, r_cut)
-
-
 def _classify(demand, params, t: float, p_test: float) -> tuple[RegimeLabel, float]:
     """The regime at test price ``p_test`` and the flow imbalance there.
 
     The imbalance psi*(p/v)*f(t, p/v) - mu*D(t, p) is the entry flow when
     ``p_test`` is the smallest provider's cost.
     """
-    flux = _client_inflow_flux(demand, t, p_test)
+    flux = inflow_flux(demand.params, p_test, partial(demand.density, t))
     stock = demand.at(t, p_test)
     if stock <= 0:
         raise DomainError(f"no demand at test price {p_test!r}")
-    margin = math.inf if params.mu == 0 else flux / (params.mu * stock) - 1.0
+    absorbed = params.mu * stock  # 0 when mu is 0 or the product underflows
+    margin = math.inf if absorbed == 0 else flux / absorbed - 1.0
     # the tie belongs to the emerging side; a relative slack keeps exact-tie
     # parameter choices there despite rounding in the flux evaluation
-    tag = "emerging" if flux >= params.mu * stock * (1.0 - 1e-12) else "mature"
-    return RegimeLabel(tag=tag, margin=margin), flux - params.mu * stock
+    tag = "emerging" if flux >= absorbed * (1.0 - 1e-12) else "mature"
+    return RegimeLabel(tag=tag, margin=margin), flux - absorbed
 
 
 def classify_regime(demand, supply, t: float, p_test: float | None = None) -> RegimeLabel:
@@ -151,9 +141,7 @@ def exit_rate(supply, t: float, price: float, price_slope: float) -> float:
             f"exit_rate requires a non-increasing price, got slope {price_slope!r}"
         )
     params = supply.params
-    e_min = min_viable_size(price, params)
-    g_min = supply.density(t, e_min)
-    return g_min * abs(price_slope) / (params.n * params.beta * params.delta_c)
+    return exit_flow(params, supply.density(t, min_viable_size(price, params)), price_slope)
 
 
 def price_slope(demand, supply, t: float, price: float, mode: str = "capacity") -> float:
@@ -170,7 +158,7 @@ def price_slope(demand, supply, t: float, price: float, mode: str = "capacity") 
     stock_d = demand.at(t, price)
     if stock_d <= 0:
         raise DomainError(f"no demand at price {price!r}")
-    rel_inflow = _client_inflow_flux(demand, t, price) / stock_d
+    rel_inflow = inflow_flux(demand.params, price, partial(demand.density, t)) / stock_d
     imbalance = (rel_inflow - params.mu) * supply.at(t, price)
     e_min = min_viable_size(price, params)
     g_min = supply.density(t, e_min)
@@ -196,8 +184,9 @@ def solve_equilibrium(
     Finds the root of D(t, p) - S(t, p) with Brent's method
     (``numerics.find_root``) on a bracket from the cost floor to v*r_m,
     grown by doubling and capped at the full local cost n*c, then
-    classifies the regime once.  Raises NumericError with the curve
-    values at both bracket ends when no crossing exists.
+    classifies the regime once.  Curves that meet at n*c up to a relative
+    1e-12 clear there.  Raises NumericError with the curve values at both
+    bracket ends when no crossing exists.
     """
     params = supply.params
     if demand.params != params:
@@ -219,13 +208,14 @@ def solve_equilibrium(
     while f_hi > 0 and hi < params.full_local_cost:
         hi = min(2.0 * hi, params.full_local_cost)
         f_hi = residual(hi)
-    if f_hi > 0:
+    # curves that meet at n*c (an anchor at the full local cost) clear there;
+    # the relative slack absorbs the rounding of both curve evaluations
+    if f_hi > 0 and f_hi > 1e-12 * supply.at(t, hi):
         raise NumericError(
             "market cannot clear: demand exceeds supply on the whole price domain; "
             f"residual({lo!r})={f_lo!r}, residual({hi!r})={f_hi!r}"
         )
-
-    price = find_root(residual, Bracket(lo=lo, hi=hi, f_lo=f_lo, f_hi=f_hi), tol_abs)
+    price = hi if f_hi > 0 else find_root(residual, Bracket(lo=lo, hi=hi, f_lo=f_lo, f_hi=f_hi), tol_abs)
     served = demand.at(t, price)
     label, entry_flow = _classify(demand, params, t, params.entry_price)
     marginal = min_viable_size(price, params)

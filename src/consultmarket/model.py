@@ -1,15 +1,23 @@
-"""Market constants and the pointwise cost algebra of provider firms.
+"""Market constants, the cost algebra of provider firms, and every closed form.
 
 A provider with ``e`` employees can displace a fraction ``min(beta*e, 1)``
 of its delivery work to a lower-cost location, which prices one client
 engagement (``n`` workers) at ``n*(c - phi(e)*delta_c)``.  Everything here
 is a pure function of its arguments.
+
+The closed forms of the paper (curve densities and tails, marginal size,
+required share, reduced decline slope, flows, profit frontier) are each
+written once, at the end.  They take the params, a growth factor such as
+exp(alpha*t) computed by the caller, and a price or size, each a float or
+a numpy array (clamps: ``min``/``max`` on floats, ``ndarray.clip`` on
+arrays).  They check no domain; the scalar entry points do.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 from .errors import BelowCostFloorError, DomainError, RegimeError
 
@@ -55,7 +63,9 @@ class ModelParams:
     g0: float
 
     def __post_init__(self) -> None:
+        non_finite = [name for name in self.field_names() if not math.isfinite(getattr(self, name))]
         checks = [
+            (not non_finite, f"{', '.join(non_finite)} must be finite"),
             (self.v > 0, "v must be > 0"),
             (self.n >= 1, "n must be >= 1"),
             (self.c > 0, "c must be > 0"),
@@ -146,8 +156,7 @@ def min_viable_size(p: float, params: ModelParams) -> float:
             f"price {p!r} is at or below the cost floor {params.cost_floor!r};"
             " no provider is viable"
         )
-    raw = (params.n * params.c - p) / (params.n * params.beta * params.delta_c)
-    return max(raw, params.n)
+    return marginal_size(params, p)
 
 
 def required_offshore_share(p: float, params: ModelParams) -> float:
@@ -159,7 +168,7 @@ def required_offshore_share(p: float, params: ModelParams) -> float:
         raise DomainError(
             f"price {p!r} outside [{params.cost_floor!r}, {params.full_local_cost!r}]"
         )
-    return (params.n * params.c - p) / (params.n * params.delta_c)
+    return required_share(params, p)
 
 
 def profitability_threshold_size(price_slope: float, params: ModelParams) -> float:
@@ -178,4 +187,87 @@ def profitability_threshold_size(price_slope: float, params: ModelParams) -> flo
         raise RegimeError(
             "no provider outruns the price decline: provider growth rate mu is zero"
         )
-    return abs(price_slope) / (params.beta * params.mu * params.n * params.delta_c)
+    return profit_frontier(params, price_slope)
+
+
+def _at_least(x, lo: float):
+    return max(x, lo) if isinstance(x, (int, float)) else x.clip(lo)
+
+
+def _at_most(x, hi: float):
+    return min(x, hi) if isinstance(x, (int, float)) else x.clip(None, hi)
+
+
+def demand_density(params: ModelParams, growth, r):
+    """f(t, r) = alpha * f0 * exp(alpha*t) * (r/r_m)^(-alpha/psi)."""
+    p = params
+    return p.alpha * p.f0 * growth * (r / p.r_m) ** (-p.alpha / p.psi)
+
+
+def demand_curve(params: ModelParams, growth, price):
+    """D(t, p): the tail of f(t, .) from r = p/v; every client at or below v*r_m."""
+    p = params
+    r_cut = price / p.v
+    population = p.alpha * p.f0 * growth * p.r_m * p.psi / (p.alpha - p.psi)
+    if isinstance(r_cut, (int, float)) and r_cut <= p.r_m:
+        return population
+    tail = p.alpha * p.f0 * growth * (p.psi / (p.alpha - p.psi)) * p.r_m * (r_cut / p.r_m) ** (1.0 - p.alpha / p.psi)
+    if isinstance(r_cut, (int, float)):
+        return tail
+    # numpy's where, reached through the array so that model imports no numpy
+    return r_cut.__array_namespace__().where(r_cut <= p.r_m, population, tail)
+
+
+def inflow_flux(params: ModelParams, price: float, density: Callable):
+    """psi * r * f(t, r): clients crossing the cut r = max(p/v, r_m) per year.
+
+    Below v*r_m every client is served and only entrants cross.
+    ``density`` evaluates f(t, .), closed form or sampled.
+    """
+    cut = _at_least(price / params.v, params.r_m)
+    return params.psi * cut * density(cut)
+
+
+def supply_density(params: ModelParams, growth, e):
+    """g(t, e) = g0 * exp(mu*t) / e."""
+    return params.g0 * growth / e
+
+
+def supply_curve(params: ModelParams, growth, price):
+    """S(t, p): 0 at the cost floor, affine in p, flat once size-n providers are viable."""
+    p = params
+    # the share term saturates once the marginal size clamps at n
+    share_term = _at_most(1.0 + (price - p.full_local_cost) / (p.n * p.delta_c), 1.0 - p.beta * p.n)
+    return growth * p.g0 / (p.n * p.beta) * share_term
+
+
+def marginal_size(params: ModelParams, price):
+    """(n*c - p)/(n*beta*delta_c), clamped below at n: the break-even provider size."""
+    p = params
+    return _at_least((p.n * p.c - price) / (p.n * p.beta * p.delta_c), p.n)
+
+
+def required_share(params: ModelParams, price):
+    """(n*c - p)/(n*delta_c): the displacement share the marginal provider needs."""
+    p = params
+    return (p.n * p.c - price) / (p.n * p.delta_c)
+
+
+def decline_slope(params: ModelParams, price, literal: bool):
+    """dP/dt = (alpha - psi - mu) * min(P - floor, n*delta_c*(1 - beta*n)) * w(P)
+    in a mature market; w = 1 (capacity) or marginal_size(P)/n (literal)."""
+    p = params
+    cap = p.n * p.delta_c * (1.0 - p.beta * p.n)
+    slope = (p.alpha - p.psi - p.mu) * _at_most(price - p.cost_floor, cap)
+    return slope * (marginal_size(p, price) / p.n) if literal else slope
+
+
+def exit_flow(params: ModelParams, density, slope):
+    """g(t, e_min) * |dP/dt| / (n*beta*delta_c), given the marginal density."""
+    return density * abs(slope) / (params.n * params.beta * params.delta_c)
+
+
+def profit_frontier(params: ModelParams, slope):
+    """|dP/dt|/(beta*mu*n*delta_c): the size above which displacement gains outpace the decline."""
+    p = params
+    return abs(slope) / (p.beta * p.mu * p.n * p.delta_c)

@@ -155,7 +155,30 @@ class TestAnchorNormalizations:
     def test_full_local_cost_boundary(self, german_params):
         anchors = AnchorConditions(served0=7500.0, price0=german_params.full_local_cost)
         _, g0 = anchor_normalizations(german_params, anchors)
-        assert g0 == pytest.approx(7500.0 * german_params.n * german_params.beta, rel=1e-12)
+        # supply is saturated there: S = g0/(n*beta) * (1 - beta*n)
+        p = german_params
+        assert g0 == pytest.approx(7500.0 * p.n * p.beta / (1.0 - p.beta * p.n), rel=1e-12)
+
+    @pytest.mark.parametrize("price0", [49_997.0, 50_000.0])
+    def test_anchor_above_entry_price_clears_there(self, german_params, price0):
+        # supply is flat above the entry price 49995; the anchor solve inverts
+        # the saturated supply, so the market clears at price0
+        assert german_params.entry_price < price0 <= german_params.full_local_cost
+        params = anchored_params(german_params, AnchorConditions(served0=7500.0, price0=price0))
+        eq = solve_equilibrium(DemandSide.closed_form(params), SupplySide.closed_form(params), 0.0)
+        assert abs(eq.price - price0) <= 1e-6
+        assert eq.served == pytest.approx(7500.0, rel=1e-10)
+
+    @pytest.mark.parametrize("change, served0", [(dict(alpha=1e300), 7500.0), (dict(v=1e-300), 1e300)])
+    def test_degenerate_normalizations_rejected(self, german_params, change, served0):
+        # the unit demand at the anchor underflows to 0, or f0 overflows
+        with pytest.raises(DomainError):
+            anchor_normalizations(german_params.replace(**change), AnchorConditions(served0, 37_000.0))
+
+    @pytest.mark.parametrize("served0, price0", [(float("inf"), 37_000.0), (7500.0, float("nan"))])
+    def test_non_finite_anchors_rejected(self, served0, price0):
+        with pytest.raises(DomainError):
+            AnchorConditions(served0=served0, price0=price0)
 
     def test_out_of_domain_anchor_rejected(self, german_params):
         with pytest.raises(DomainError):

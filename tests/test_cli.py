@@ -1,6 +1,9 @@
 """Command-line interface: subcommand behavior, exit codes, file outputs."""
 
 import math
+import runpy
+import sys
+import warnings
 
 import pytest
 
@@ -29,6 +32,9 @@ horizon = 10
 dt = 0.01
 t = 0
 """
+
+# a provider size histogram on g0/size with g0 = 16
+SIZES_CSV = "size,provider_count\n1,16\n2,8\n4,4\n8,2\n16,1\n"
 
 
 @pytest.fixture()
@@ -96,6 +102,41 @@ class TestSolve:
         cfg.write_text(GERMAN_CFG + "\n[market]\n", encoding="utf-8")
         cfg.write_text(GERMAN_CFG.replace("mu = 0.05", "mo = 0.05"), encoding="utf-8")
         assert run(["solve", "--config", str(cfg)]) == 2
+
+
+class TestConfigValidation:
+    """Every value of a config is checked while it loads: a bad one is a data error."""
+
+    @pytest.mark.parametrize(
+        "edit, flags",
+        [
+            (None, ["--horizon", "1", "--dt", "0.3"]),
+            (("mode = capacity", "mode = foo"), []),
+            (("served0 = 7500", "served0 = -1"), []),
+        ],
+    )
+    def test_invalid_dynamics_or_anchors_are_data_errors(self, tmp_path, capsys, edit, flags):
+        cfg, out = tmp_path / "invalid.cfg", tmp_path / "traj.csv"
+        cfg.write_text(GERMAN_CFG if edit is None else GERMAN_CFG.replace(*edit), encoding="utf-8")
+        assert run(["simulate", "--config", str(cfg), *flags, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("served0 = 7500", "served0 = inf"),
+            ("price0 = 37000", "price0 = inf"),
+            ("mu = 0.05", "mu = inf"),
+            ("c = 50000", "c = inf"),
+            ("alpha = 0.073", "alpha = 1e300"),  # demand at the anchor underflows to 0
+        ],
+    )
+    def test_non_finite_inputs_are_data_errors(self, tmp_path, capsys, old, new):
+        cfg = tmp_path / "invalid.cfg"
+        assert old in GERMAN_CFG
+        cfg.write_text(GERMAN_CFG.replace(old, new), encoding="utf-8")
+        assert run(["solve", "--config", str(cfg)]) == 2
+        assert "data error" in capsys.readouterr().err
 
 
 class TestClassify:
@@ -219,9 +260,7 @@ class TestCalibrate:
         series = tmp_path / "series.csv"
         self.write_series(series)
         sizes = tmp_path / "sizes.csv"
-        sizes.write_text(
-            "size,provider_count\n1,16\n2,8\n4,4\n8,2\n16,1\n", encoding="utf-8"
-        )
+        sizes.write_text(SIZES_CSV, encoding="utf-8")
         cfg = tmp_path / "estimated.cfg"
         code = run(
             ["calibrate", "--series", str(series), "--sizes", str(sizes), "--out", str(cfg)]
@@ -233,6 +272,20 @@ class TestCalibrate:
         series = tmp_path / "series.csv"
         series.write_text("year,firm_count\n2010,10\n", encoding="utf-8")
         assert run(["calibrate", "--series", str(series), "--out", str(tmp_path / "o.cfg")]) == 2
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("module", ["consultmarket", "consultmarket.cli"])
+    def test_python_m_runs_the_cli(self, module, german_cfg, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "traj.csv"
+        argv = ["consultmarket", "simulate", "--config", str(german_cfg), "--out", str(out)]
+        monkeypatch.setattr(sys, "argv", argv)
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as exit_info:
+            # runpy warns when the module it runs is already imported
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runpy.run_module(module, run_name="__main__")
+        assert exit_info.value.code == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1002
 
 
 class TestUsage:

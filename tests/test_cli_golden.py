@@ -1,8 +1,11 @@
-"""Golden CLI outputs: sha256 digests of every file the CLI writes on the German config.
+"""Golden CLI outputs: sha256 digests of every file the CLI writes on the German config,
+and of the configs ``calibrate`` writes from the series and histogram of ``test_cli``.
 
 Any change to a printed value, a column, the row count or the formatting
 shows up here.  The digests were recorded before the Brent clearing step
-and the fused RK4 loop, so both are pinned to byte-identical CLI output.
+and the fused RK4 loop, so both are pinned to byte-identical CLI output; the
+``calibrate`` digests were recorded before its template was rendered from
+``consultmarket.scenarios``.
 Regenerate them (only for an intended output change) with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -11,10 +14,10 @@ and paste the printed dict over GOLDEN_DIGESTS.
 """
 
 import hashlib
+import os
 from pathlib import Path
 
-import pytest
-
+import test_cli
 from consultmarket.cli import run
 
 # the constants of consultmarket.scenarios, anchored at 7500 clients served at 37k EUR
@@ -51,7 +54,16 @@ COMMANDS = (
     ["sweep", "--vary", "alpha=0.04:0.08:0.005", "--out", "sweep_alpha.csv"],
 )
 
+# ``calibrate`` arguments, run from the work directory: the emitted config
+# names its series file, so the inputs are given by relative path
+CALIBRATE_COMMANDS = (
+    ["--series", "in/series.csv", "--out", "calibrated.cfg"],
+    ["--series", "in/series.csv", "--sizes", "in/sizes.csv", "--out", "calibrated_sizes.cfg"],
+)
+
 GOLDEN_DIGESTS = {
+    "calibrated.cfg": "3596e3936361d561cc0ae2097f22d8a786b6763db0cb8174cbdcc6c0d2de47c2",
+    "calibrated_sizes.cfg": "7d57b3c6051e83fe3ec49f845670d735963852324169a1f72cbc47cdcad358da",
     "emerging.csv": "169b5ba5405840f12183350ffddf22f5f58077643c708b5ed7b83c8379bb503d",
     "fig2.csv": "7fda589ec43c9533303d8f1b7b345ef395ae6ffa1c3ed75cb90ee438b459e495",
     "fig3.csv": "ba07a80b04cf3c29ec55a3b47781b13307a01ad27dd185b4aca5b64c38e38b60",
@@ -70,7 +82,19 @@ def cli_digests(workdir: Path) -> dict[str, str]:
         argv = [command, "--config", str(config)]
         argv += [str(workdir / arg) if arg.endswith(".csv") else arg for arg in rest]
         assert run(argv) == 0, argv
-    written = sorted(path.name for path in workdir.glob("*.csv"))
+    inputs = workdir / "in"
+    inputs.mkdir()
+    test_cli.TestCalibrate.write_series(inputs / "series.csv")
+    (inputs / "sizes.csv").write_text(test_cli.SIZES_CSV, encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for args in CALIBRATE_COMMANDS:
+            assert run(["calibrate", *args]) == 0, args
+    finally:
+        os.chdir(cwd)
+    written = sorted(path.name for pattern in ("*.csv", "*.cfg") for path in workdir.glob(pattern))
+    written.remove(config.name)
     return {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest() for name in written}
 
 

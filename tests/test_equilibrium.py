@@ -147,6 +147,15 @@ class TestClassifyRegime:
         assert label.is_emerging
         assert math.isinf(label.margin)
 
+    def test_underflowing_capacity_is_emerging_with_infinite_margin(self):
+        # mu * D(t, p) underflows to 0 although mu > 0
+        params = german_transport_params(mu=5e-324)
+        params = params.replace(f0=1e-5 * params.f0)  # D(0, entry price) below 0.5
+        demand, supply = DemandSide.closed_form(params), SupplySide.closed_form(params)
+        label = classify_regime(demand, supply, 0.0)
+        assert label.is_emerging
+        assert math.isinf(label.margin)
+
 
 class TestEntryRate:
     def test_wrong_regime_rejected(self, german_demand, german_supply):

@@ -18,6 +18,7 @@ from consultmarket import (
     profitability_threshold_size,
     required_offshore_share,
 )
+from consultmarket import model
 from consultmarket.errors import BelowCostFloorError
 
 
@@ -217,6 +218,10 @@ class TestModelParamsValidation:
         dict(r_m=0.0),
         dict(f0=0.0),
         dict(g0=-1.0),
+        dict(c=math.inf),
+        dict(mu=math.inf),
+        dict(alpha=math.inf),
+        dict(f0=math.nan),
     ]
 
     @pytest.mark.parametrize("override", BAD)
@@ -232,3 +237,34 @@ class TestModelParamsValidation:
         b = german_params.bounds
         assert b.e_min_domain == german_params.n
         assert b.e_max_domain == pytest.approx(5000.0)
+
+
+class TestClosedForms:
+    """Each closed form of ``model`` gives the same values on an array as on
+    its elements one float at a time (numpy's power may differ from the C
+    library's in the last bit, so the comparison is relative to 1e-14)."""
+
+    PRICES = np.linspace(25_000.0, 50_000.0, 41)[1:]  # every curve branch, floor excluded
+    FORMS = [
+        lambda p, g, x: model.demand_curve(p, g, x),
+        lambda p, g, x: model.supply_curve(p, g, x),
+        lambda p, g, x: model.demand_density(p, g, x / p.v),
+        lambda p, g, x: model.supply_density(p, g, model.marginal_size(p, x)),
+        lambda p, g, x: model.marginal_size(p, x),
+        lambda p, g, x: model.required_share(p, x),
+        lambda p, g, x: model.decline_slope(p, x, literal=False),
+        lambda p, g, x: model.decline_slope(p, x, literal=True),
+        lambda p, g, x: model.profit_frontier(p, model.decline_slope(p, x, literal=True)),
+        lambda p, g, x: model.exit_flow(p, g / x, -x),
+        lambda p, g, x: model.inflow_flux(p, 40_000.0, lambda r: model.demand_density(p, g * x, r)),
+    ]
+
+    @pytest.mark.parametrize("form", range(len(FORMS)))
+    @pytest.mark.parametrize("v", [0.015, 0.035])  # v*r_m below and inside the price domain
+    def test_array_equals_floats(self, form, v):
+        fn, params = self.FORMS[form], BASE_PARAMS.replace(v=v, mu=0.06)
+        growth = np.exp(0.07 * np.arange(len(self.PRICES)))
+        on_array = fn(params, growth, self.PRICES)
+        on_floats = [fn(params, g, x) for g, x in zip(growth.tolist(), self.PRICES.tolist())]
+        assert all(type(value) is float for value in on_floats)
+        assert on_array.tolist() == pytest.approx(on_floats, rel=1e-14, abs=0.0)
