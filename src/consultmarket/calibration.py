@@ -95,18 +95,25 @@ class CalibrationSeries:
             object.__setattr__(self, "histogram", tuple(self.histogram))
 
 
+NORMALIZATIONS = ("f0", "g0")
+
+
 @dataclass(frozen=True)
 class AnchorConditions:
-    """Observed (served clients, price) pair at t = 0."""
+    """Observed (served clients, price) pair at t = 0, and the
+    normalizations (``pins``) that the anchor solve sets."""
 
     served0: float
     price0: float
+    pins: tuple[str, ...] = NORMALIZATIONS
 
     def __post_init__(self) -> None:
         for name in ("served0", "price0"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be finite and positive, got {value!r}")
+        if not set(self.pins) <= set(NORMALIZATIONS):
+            raise DomainError(f"anchors pin only {NORMALIZATIONS}, got {self.pins!r}")
 
 
 class RateEstimates(NamedTuple):
@@ -188,9 +195,10 @@ def anchor_normalizations(params: ModelParams, anchors: AnchorConditions) -> tup
 
 
 def anchored_params(params: ModelParams, anchors: AnchorConditions) -> ModelParams:
-    """Return ``params`` with (f0, g0) replaced by the anchor solve."""
-    f0, g0 = anchor_normalizations(params, anchors)
-    return replace(params, f0=f0, g0=g0)
+    """Return ``params`` with the normalizations ``anchors.pins`` names
+    replaced by the anchor solve."""
+    solved = dict(zip(NORMALIZATIONS, anchor_normalizations(params, anchors)))
+    return replace(params, **{name: solved[name] for name in anchors.pins})
 
 
 def derive_v(sga_share: float, savings_rate: float) -> float:

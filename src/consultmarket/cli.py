@@ -29,7 +29,6 @@ import numpy as np
 
 from .calibration import (
     AnchorConditions,
-    anchored_params,
     estimate_rates,
     fit_zipf,
     load_series,
@@ -160,12 +159,12 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
         )
     t = dynamics.pop("t")
     try:
-        conditions = None if anchors is None else AnchorConditions(**anchors)
+        # the anchors pin the normalizations the config leaves out (those
+        # start at 1.0); the anchor solve is checked here, as the config loads
+        conditions = None if anchors is None else AnchorConditions(**anchors, pins=tuple(need_anchor))
         params = ModelParams(**{"f0": 1.0, "g0": 1.0, **market})
-        if need_anchor:
-            resolved = anchored_params(params, conditions)
-            params = params.replace(**{k: getattr(resolved, k) for k in need_anchor})
         scenario = ScenarioConfig(params, anchors=conditions, **dynamics)
+        scenario.resolved_params()
         if not (math.isfinite(t) and t >= 0):
             raise DomainError(f"t must be finite and >= 0, got {t!r}")
     except DomainError as exc:
@@ -174,7 +173,7 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
 
 
 def _curve_sides(cfg: RunConfig) -> tuple[DemandSide, SupplySide]:
-    params = cfg.scenario.params
+    params = cfg.scenario.resolved_params()
     return DemandSide.closed_form(params), SupplySide.closed_form(params)
 
 

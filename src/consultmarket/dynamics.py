@@ -1,11 +1,10 @@
 """Market path over a horizon: flat price with entry, or integrated decline.
 
-A scenario starts from the t = 0 cleared state.  Under the closed forms the
-regime classifier margin is (alpha - psi)/mu - 1 at every t, so the regime
-is classified once, at t = 0, and holds for the whole path.  An emerging
-path takes no steps: the price stays at the smallest provider's cost and
-entry is recorded.  On a mature path ``equilibrium.price_slope`` reduces
-exactly to the autonomous law
+A scenario starts from the t = 0 cleared state.  The regime depends on the
+parameters alone (mature iff mu > alpha - psi), so it is classified once
+and holds for the whole path.  An emerging path takes no steps: the price
+stays at the smallest provider's cost and entry is recorded.  On a mature
+path the price follows ``equilibrium.price_slope``, the autonomous law
 
     dP/dt = (alpha - psi - mu) * min(P - floor, n*delta_c*(1 - beta*n)) * w(P)
 
@@ -35,7 +34,7 @@ from .curves import DemandSide, SupplySide
 from .equilibrium import SLOPE_MODES, classify_regime, solve_equilibrium
 from .errors import ConsultMarketError, DomainError, NumericError
 from .model import (
-    ModelParams, decline_slope, demand_curve, demand_density, exit_flow, inflow_flux, marginal_size,
+    ModelParams, decline_slope, demand_curve, exit_flow, inflow_flux, marginal_size,
     profit_frontier, required_share, supply_curve, supply_density,
 )
 
@@ -71,9 +70,9 @@ COLUMNS = TrajectoryPoint._fields
 class ScenarioConfig:
     """Everything a simulation run needs.
 
-    When ``anchors`` is set, the normalization solve is applied to
-    ``params`` before anything else, so swept parameters re-anchor
-    consistently.
+    When ``anchors`` is set, ``resolved_params()`` replaces the
+    normalizations the anchors pin with the anchor solve, so swept
+    parameters re-anchor consistently; every run reads those params.
     """
 
     params: ModelParams
@@ -176,7 +175,7 @@ def _columns(
         slope = decline_slope(p, price, mode == "literal")
         frontier = profit_frontier(p, slope)
     else:  # the price is pinned at entry_price
-        flux = inflow_flux(p, p.entry_price, lambda r: demand_density(p, demand_growth, r))
+        flux = inflow_flux(p, demand_growth, p.entry_price)
         entry = flux - p.mu * demand
     return dict(
         t=t,
@@ -330,14 +329,18 @@ def sweep_values(lo: float, hi: float, step: float) -> list[float]:
 def sweep(base: ScenarioConfig, name: str, lo: float, hi: float, step: float) -> list[SweepRow]:
     """Re-run the scenario across a parameter grid, one row per value.
 
-    ``name`` must be a model parameter field.  Anchored scenarios
-    re-anchor at every grid point, so f0/g0 follow the varied parameter.
+    ``name`` must be a model parameter field that the anchors do not pin
+    (sweeping a pinned normalization would change nothing).  Anchored
+    scenarios re-anchor at every grid point, so the pinned f0/g0 follow
+    the varied parameter.
     Per-point failures of this package (ConsultMarketError) are recorded in
     their row; any other exception is a bug and propagates.  Rows come back
     ordered by parameter value regardless of evaluation order.
     """
     if name not in ModelParams.field_names():
         raise DomainError(f"unknown parameter {name!r}; valid: {ModelParams.field_names()}")
+    if base.anchors is not None and name in base.anchors.pins:
+        raise DomainError(f"{name} is pinned by the anchors; sweeping it changes nothing")
     rows: list[SweepRow] = []
     for value in sweep_values(lo, hi, step):
         try:

@@ -1,15 +1,18 @@
 """Market clearing at a point in time: price, regime, and flow rates.
 
-Two regimes exist.  In an *emerging* market the inflow of newly affordable
-clients outpaces what incumbent providers can absorb by growing their
-workforce; the price sits at the smallest provider's cost and new
-providers enter.  In a *mature* market provider growth outpaces the client
-inflow, prices decline, and the smallest providers are pushed below
-viability and exit.
+Two regimes exist.  In an *emerging* market (mu <= alpha - psi) the inflow
+of newly affordable clients outpaces what incumbent providers can absorb
+by growing their workforce; the price sits at the smallest provider's cost
+and new providers enter.  In a *mature* market provider growth outpaces
+the client inflow, prices decline, and the smallest providers are pushed
+below viability and exit.
 
-The price decline balances the relative client inflow against the
-provider growth rate, scaled by how much extra capacity a unit of price
-unlocks.  Two normalizations of that balance are exposed:
+The regime, the price decline and the entry flow depend on the parameters
+alone, so they are closed forms of ``model`` on every side; only the
+clearing price, the served count and the exit flow read the curve sides.
+The decline balances the relative client inflow against provider growth,
+scaled by how much extra capacity a unit of price unlocks, in one of two
+normalizations:
 
 * ``"literal"`` divides the flow imbalance by the marginal firm-count
   density g(t, e_min)/(n*beta*delta_c) - a head-count balance.
@@ -24,10 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
-from .errors import DomainError, NumericError, RegimeError
-from .model import exit_flow, inflow_flux, min_viable_size, required_offshore_share
+from .curves import _check_time
+from .errors import BelowCostFloorError, DomainError, NumericError, RegimeError
+from .model import (
+    decline_slope, demand_curve, exit_flow, inflow_flux, min_viable_size, required_offshore_share,
+)
 from .numerics import DEFAULT_PRICE_TOL, Bracket, find_root
 
 __all__ = [
@@ -48,9 +53,10 @@ SLOPE_MODES = ("capacity", "literal")
 class RegimeLabel:
     """Market regime tag plus the dimensionless classifier margin.
 
-    ``margin`` is (client inflow flux)/(mu * demand stock) - 1; positive or
-    zero means emerging.  Under the closed forms it reduces to
-    (alpha - psi)/mu - 1 independent of the test price.
+    The tag is "mature" iff mu > alpha - psi; the tie is emerging.
+    ``margin`` is (alpha - psi)/mu - 1, the relative excess of the client
+    inflow over what provider growth absorbs, the same at every t and
+    price (inf at mu = 0); it is >= 0 on the emerging side.
     """
 
     tag: str  # "emerging" | "mature"
@@ -89,32 +95,26 @@ class EquilibriumResult:
         return 1.0 - self.required_share
 
 
-def _classify(demand, params, t: float, p_test: float) -> tuple[RegimeLabel, float]:
-    """The regime at test price ``p_test`` and the flow imbalance there.
-
-    The imbalance psi*(p/v)*f(t, p/v) - mu*D(t, p) is the entry flow when
-    ``p_test`` is the smallest provider's cost.
-    """
-    flux = inflow_flux(demand.params, p_test, partial(demand.density, t))
-    stock = demand.at(t, p_test)
-    if stock <= 0:
-        raise DomainError(f"no demand at test price {p_test!r}")
-    absorbed = params.mu * stock  # 0 when mu is 0 or the product underflows
-    margin = math.inf if absorbed == 0 else flux / absorbed - 1.0
-    # the tie belongs to the emerging side; a relative slack keeps exact-tie
-    # parameter choices there despite rounding in the flux evaluation
-    tag = "emerging" if flux >= absorbed * (1.0 - 1e-12) else "mature"
-    return RegimeLabel(tag=tag, margin=margin), flux - absorbed
+def _regime(params) -> RegimeLabel:
+    threshold = params.alpha - params.psi
+    margin = math.inf if params.mu == 0 else threshold / params.mu - 1.0
+    return RegimeLabel(tag="mature" if params.mu > threshold else "emerging", margin=margin)
 
 
-def classify_regime(demand, supply, t: float, p_test: float | None = None) -> RegimeLabel:
+def _entry_flow(params, t: float) -> float:
+    """psi*(p/v)*f(t, p/v) - mu*D(t, p) at the smallest provider's cost p."""
+    growth, price = math.exp(params.alpha * t), params.entry_price
+    return inflow_flux(params, growth, price) - params.mu * demand_curve(params, growth, price)
+
+
+def classify_regime(demand, supply, t: float) -> RegimeLabel:
     """Compare client inflow against provider training capacity.
 
-    Emerging iff psi*(p/v)*f(t, p/v) >= mu*D(t, p) at the test price
-    (default: the smallest provider's cost).  Ties classify as emerging.
+    Emerging iff mu <= alpha - psi: the relative client inflow
+    psi*(p/v)*f(t, p/v)/D(t, p) is alpha - psi at every t and price.
     """
-    params = supply.params
-    return _classify(demand, params, t, params.entry_price if p_test is None else p_test)[0]
+    _check_time(t)
+    return _regime(supply.params)
 
 
 def entry_rate(demand, supply, t: float) -> float:
@@ -123,11 +123,9 @@ def entry_rate(demand, supply, t: float) -> float:
     The gap between the client inflow flux and what incumbent growth
     absorbs, both evaluated at the smallest provider's cost.
     """
-    params = supply.params
-    label, flow = _classify(demand, params, t, params.entry_price)
-    if not label.is_emerging:
+    if not classify_regime(demand, supply, t).is_emerging:
         raise RegimeError("entry_rate is defined only in the emerging regime")
-    return flow
+    return _entry_flow(supply.params, t)
 
 
 def exit_rate(supply, t: float, price: float, price_slope: float) -> float:
@@ -147,29 +145,23 @@ def exit_rate(supply, t: float, price: float, price_slope: float) -> float:
 def price_slope(demand, supply, t: float, price: float, mode: str = "capacity") -> float:
     """Signed rate of price change, currency/year^2, in a mature market.
 
-    The client inflow flux is first expressed relative to the demand stock
-    (the clearing premise: served clients equal serviceable capacity at
-    every instant), so the imbalance is (inflow/stock - mu) * S(t, p).
-    The mode fixes the normalization; see the module docstring.
+    The client inflow relative to the demand stock (the clearing premise:
+    served clients equal serviceable capacity at every instant) is
+    alpha - psi, so the imbalance is (alpha - psi - mu) * S(t, p), and
+    ``model.decline_slope`` gives the result.  The mode fixes the
+    normalization; see the module docstring.
     """
     if mode not in SLOPE_MODES:
         raise DomainError(f"mode must be one of {SLOPE_MODES}, got {mode!r}")
+    _check_time(t)
     params = supply.params
-    stock_d = demand.at(t, price)
-    if stock_d <= 0:
-        raise DomainError(f"no demand at price {price!r}")
-    rel_inflow = inflow_flux(demand.params, price, partial(demand.density, t)) / stock_d
-    imbalance = (rel_inflow - params.mu) * supply.at(t, price)
-    e_min = min_viable_size(price, params)
-    g_min = supply.density(t, e_min)
-    coefficient = g_min / (params.n * params.beta * params.delta_c)
-    if mode == "capacity":
-        coefficient *= e_min / params.n
-    if coefficient == 0:
-        raise NumericError(
-            f"singular slope: zero marginal provider density at price {price!r}"
+    if not (math.isfinite(price) and price <= params.full_local_cost):
+        raise DomainError(f"price {price!r} must be finite and at most {params.full_local_cost!r}")
+    if price <= params.cost_floor:
+        raise BelowCostFloorError(
+            f"price {price!r} is at or below the cost floor {params.cost_floor!r}"
         )
-    return imbalance / coefficient
+    return decline_slope(params, price, mode == "literal")
 
 
 def solve_equilibrium(
@@ -183,11 +175,14 @@ def solve_equilibrium(
 
     Finds the root of D(t, p) - S(t, p) with Brent's method
     (``numerics.find_root``) on a bracket from the cost floor to v*r_m,
-    grown by doubling and capped at the full local cost n*c, then
-    classifies the regime once.  Curves that meet at n*c up to a relative
-    1e-12 clear there.  Raises NumericError with the curve values at both
-    bracket ends when no crossing exists.
+    grown by doubling and capped at the full local cost n*c.  Curves that
+    meet at n*c up to a relative 1e-12 clear there.  Raises NumericError
+    with the curve values at both bracket ends when no crossing above the
+    floor exists, and when a curve is not finite at either end (D is
+    non-increasing and S non-decreasing, so finite ends bound every
+    residual between them).
     """
+    _check_time(t)
     params = supply.params
     if demand.params != params:
         raise DomainError("demand and supply sides carry different parameter sets")
@@ -197,9 +192,11 @@ def solve_equilibrium(
 
     lo = params.cost_floor
     f_lo = residual(lo)
-    if f_lo < 0:
+    if not math.isfinite(f_lo):
+        raise NumericError(f"non-finite curve value at the cost floor: residual({lo!r})={f_lo!r}")
+    if f_lo <= 0:
         raise NumericError(
-            f"market cannot clear: demand {f_lo!r} short of supply at the cost floor {lo!r}"
+            f"market cannot clear: demand does not exceed supply at the cost floor; residual({lo!r})={f_lo!r}"
         )
     hi = min(params.v * params.r_m, params.full_local_cost)
     if hi <= lo:
@@ -208,6 +205,8 @@ def solve_equilibrium(
     while f_hi > 0 and hi < params.full_local_cost:
         hi = min(2.0 * hi, params.full_local_cost)
         f_hi = residual(hi)
+    if not math.isfinite(f_hi):
+        raise NumericError(f"non-finite curve value: residual({hi!r})={f_hi!r}")
     # curves that meet at n*c (an anchor at the full local cost) clear there;
     # the relative slack absorbs the rounding of both curve evaluations
     if f_hi > 0 and f_hi > 1e-12 * supply.at(t, hi):
@@ -216,30 +215,16 @@ def solve_equilibrium(
             f"residual({lo!r})={f_lo!r}, residual({hi!r})={f_hi!r}"
         )
     price = hi if f_hi > 0 else find_root(residual, Bracket(lo=lo, hi=hi, f_lo=f_lo, f_hi=f_hi), tol_abs)
-    served = demand.at(t, price)
-    label, entry_flow = _classify(demand, params, t, params.entry_price)
-    marginal = min_viable_size(price, params)
-    share = required_offshore_share(price, params)
-
-    if label.is_emerging:
-        return EquilibriumResult(
-            t=t,
-            price=price,
-            regime=label,
-            served=served,
-            marginal_size=marginal,
-            required_share=share,
-            price_slope=0.0,
-            entry_rate=entry_flow,
-        )
-    slope = price_slope(demand, supply, t, price, slope_mode)
-    return EquilibriumResult(
+    label = _regime(params)
+    state = dict(
         t=t,
         price=price,
         regime=label,
-        served=served,
-        marginal_size=marginal,
-        required_share=share,
-        price_slope=slope,
-        exit_rate=exit_rate(supply, t, price, slope),
+        served=demand.at(t, price),
+        marginal_size=min_viable_size(price, params),
+        required_share=required_offshore_share(price, params),
     )
+    if label.is_emerging:
+        return EquilibriumResult(**state, price_slope=0.0, entry_rate=_entry_flow(params, t))
+    slope = price_slope(demand, supply, t, price, slope_mode)
+    return EquilibriumResult(**state, price_slope=slope, exit_rate=exit_rate(supply, t, price, slope))

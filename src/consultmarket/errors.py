@@ -39,7 +39,7 @@ class DataError(ConsultMarketError, ValueError):
 
 
 class NumericError(ConsultMarketError, RuntimeError):
-    """A numeric procedure failed (no bracket, non-finite value, singular term)."""
+    """A numeric procedure failed (no bracket, non-finite value)."""
 
 
 class NoBracketError(NumericError):

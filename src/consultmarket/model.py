@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable
 
 from .errors import BelowCostFloorError, DomainError, RegimeError
 
@@ -218,14 +217,13 @@ def demand_curve(params: ModelParams, growth, price):
     return r_cut.__array_namespace__().where(r_cut <= p.r_m, population, tail)
 
 
-def inflow_flux(params: ModelParams, price: float, density: Callable):
+def inflow_flux(params: ModelParams, growth, price: float):
     """psi * r * f(t, r): clients crossing the cut r = max(p/v, r_m) per year.
 
     Below v*r_m every client is served and only entrants cross.
-    ``density`` evaluates f(t, .), closed form or sampled.
     """
     cut = _at_least(price / params.v, params.r_m)
-    return params.psi * cut * density(cut)
+    return params.psi * cut * demand_density(params, growth, cut)
 
 
 def supply_density(params: ModelParams, growth, e):

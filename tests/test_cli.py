@@ -92,6 +92,15 @@ class TestSolve:
         )
         assert run(["solve", "--config", str(cfg)]) == 3
 
+    def test_overflowing_curves_are_numeric_errors(self, tmp_path, capsys):
+        # f0 and g0 stay finite, but S overflows to inf above the floor
+        cfg, out = tmp_path / "huge.cfg", tmp_path / "traj.csv"
+        cfg.write_text(GERMAN_CFG.replace("served0 = 7500", "served0 = 1e308"), encoding="utf-8")
+        assert run(["solve", "--config", str(cfg)]) == 3
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.count("numeric error: non-finite curve value") == 2
+        assert not out.exists()
+
     def test_invalid_market_values_are_data_errors(self, german_cfg, tmp_path, capsys):
         cfg = tmp_path / "invalid.cfg"
         cfg.write_text(GERMAN_CFG.replace("alpha = 0.073", "alpha = 0.01"), encoding="utf-8")
@@ -137,6 +146,22 @@ class TestConfigValidation:
         cfg.write_text(GERMAN_CFG.replace(old, new), encoding="utf-8")
         assert run(["solve", "--config", str(cfg)]) == 2
         assert "data error" in capsys.readouterr().err
+
+
+class TestResolvedScenario:
+    """Every command reads one resolved parameter set: the anchors pin only
+    the normalizations the config leaves out."""
+
+    @pytest.mark.parametrize(
+        "given, price", [("g0 = 5", "33345.93"), ("f0 = 0.2\ng0 = 3.125", "45778.23")]
+    )
+    def test_solve_and_simulate_start_at_the_same_price(self, tmp_path, capsys, given, price):
+        cfg, out = tmp_path / "mixed.cfg", tmp_path / "traj.csv"
+        cfg.write_text(GERMAN_CFG.replace("r_m = 1.3e6", f"r_m = 1.3e6\n{given}"), encoding="utf-8")
+        assert run(["solve", "--config", str(cfg)]) == 0
+        assert f"price={price}\n" in capsys.readouterr().out
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1].split(",")[:2] == ["0.0000", price]
 
 
 class TestClassify:
@@ -222,6 +247,16 @@ class TestSweep:
 
     def test_malformed_vary_is_usage_error(self, german_cfg, capsys):
         assert run(["sweep", "--config", str(german_cfg), "--vary", "mu=0.04", "--out", "x.csv"]) == 1
+
+    def test_pinned_normalization_is_numeric_error(self, german_cfg, tmp_path, capsys):
+        # the anchors pin f0, so every row would come out the same
+        out = tmp_path / "sweep.csv"
+        code = run(
+            ["sweep", "--config", str(german_cfg), "--vary", "f0=0.1:0.4:0.1", "--out", str(out)]
+        )
+        assert code == 3
+        assert "f0 is pinned by the anchors" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_parameter_is_numeric_error(self, german_cfg, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

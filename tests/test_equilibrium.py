@@ -5,20 +5,27 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from consultmarket import (
+    AnchorConditions,
     DemandSide,
     DomainError,
     ModelParams,
     NumericError,
     RegimeError,
     SupplySide,
+    anchored_params,
     classify_regime,
     entry_rate,
     exit_rate,
+    min_viable_size,
     price_slope,
     solve_equilibrium,
 )
+from consultmarket.curves import DEMAND_CAP_FACTOR
+from consultmarket.errors import BelowCostFloorError
 from consultmarket.numerics import DensityGrid, integrate_tail
 from consultmarket.scenarios import german_transport_params
 
@@ -33,6 +40,66 @@ def exit_rate_by_mass_crossing(supply, t, price, slope, dt=1e-6):
     axis = np.linspace(lo, hi, 2001)
     band = DensityGrid(axis=axis, values=np.array([supply.density(t, e) for e in axis]))
     return integrate_tail(band, lo) / dt
+
+
+def inflow_by_density(demand, t, price):
+    """psi * r * f(t, r) at the cut r = max(p/v, r_m), from the side's own density."""
+    p = demand.params
+    cut = max(price / p.v, p.r_m)
+    return p.psi * cut * demand.density(t, cut)
+
+
+def flux_stock_regime(demand, supply, t, p_test=None):
+    """Oracle: the regime from the client inflow flux over the demand stock
+    at a test price (default: the smallest provider's cost), through the
+    sides' own density and stock, closed form or quadrature.
+
+    Returns (tag, margin, imbalance); the imbalance psi*(p/v)*f(t, p/v) -
+    mu*D(t, p) is the entry flow at the entry price.
+    """
+    params = supply.params
+    p_test = params.entry_price if p_test is None else p_test
+    flux = inflow_by_density(demand, t, p_test)
+    stock = demand.at(t, p_test)
+    assert stock > 0, f"no demand at test price {p_test!r}"
+    absorbed = params.mu * stock  # 0 when mu is 0 or the product underflows
+    margin = math.inf if absorbed == 0 else flux / absorbed - 1.0
+    # the tie belongs to the emerging side; a relative slack keeps exact-tie
+    # parameter choices there despite rounding in the flux evaluation
+    tag = "emerging" if flux >= absorbed * (1.0 - 1e-12) else "mature"
+    return tag, margin, flux - absorbed
+
+
+def flux_stock_slope(demand, supply, t, price, mode):
+    """Oracle: the price slope as (inflow/stock - mu) * S(t, p) over the
+    marginal provider density g(t, e_min)/(n*beta*delta_c), weighted by the
+    e_min/n clients the marginal firm serves in capacity mode."""
+    params = supply.params
+    rel_inflow = inflow_by_density(demand, t, price) / demand.at(t, price)
+    imbalance = (rel_inflow - params.mu) * supply.at(t, price)
+    e_min = min_viable_size(price, params)
+    coefficient = supply.density(t, e_min) / (params.n * params.beta * params.delta_c)
+    if mode == "capacity":
+        coefficient *= e_min / params.n
+    return imbalance / coefficient
+
+
+@st.composite
+def jittered_german_markets(draw) -> ModelParams:
+    """The German scenario with rates, anchors and mu jittered, mu at least
+    0.1% away from the regime tie."""
+    provisional = german_transport_params().replace(
+        psi=0.036 * draw(st.floats(min_value=0.9, max_value=1.1)),
+        alpha=0.073 * draw(st.floats(min_value=0.9, max_value=1.1)),
+        mu=draw(st.floats(min_value=0.005, max_value=0.15)),
+    )
+    threshold = provisional.alpha - provisional.psi
+    assume(abs(provisional.mu / threshold - 1.0) > 1e-3)
+    anchors = AnchorConditions(
+        served0=draw(st.floats(min_value=5e3, max_value=1e4)),
+        price0=draw(st.floats(min_value=30e3, max_value=45e3)),
+    )
+    return anchored_params(provisional, anchors)
 
 
 class TestSolveEquilibrium:
@@ -95,6 +162,21 @@ class TestSolveEquilibrium:
         with pytest.raises(NumericError, match="cannot clear"):
             solve_equilibrium(demand, supply, 0.0)
 
+    def test_grid_sides_clear_past_the_demand_cap(self):
+        # the entry price lies past the 512-point demand grid, where D is 0
+        params = german_transport_params(mu=0.05).replace(v=2e-5)
+        assert params.entry_price / params.v > DEMAND_CAP_FACTOR * params.r_m
+        eq = solve_equilibrium(DemandSide.with_grid(params), SupplySide.with_grid(params), 0.0)
+        assert eq.regime.is_mature
+        assert params.cost_floor < eq.price < params.entry_price
+        assert eq.price_slope < 0 and eq.exit_rate > 0
+
+    def test_no_grid_demand_above_the_floor_cannot_clear(self):
+        # floor/v lies past the 512-point demand grid: D is 0 at every viable price
+        params = german_transport_params(mu=0.05).replace(v=1e-5)
+        with pytest.raises(NumericError, match="cannot clear"):
+            solve_equilibrium(DemandSide.with_grid(params), SupplySide.with_grid(params), 0.0)
+
     def test_mismatched_params_rejected(self, german_demand, german_params):
         other = SupplySide.closed_form(german_params.replace(g0=1.0))
         with pytest.raises(DomainError):
@@ -121,24 +203,27 @@ class TestClassifyRegime:
         params = german_transport_params(mu=0.073 - 0.036)
         demand, supply = DemandSide.closed_form(params), SupplySide.closed_form(params)
         assert classify_regime(demand, supply, 0.0).is_emerging
+        assert classify_regime(demand, supply, 0.0).margin == 0.0
 
     def test_label_independent_of_test_price(self, german_demand, german_supply, german_params):
+        # the oracle's flux/stock tag agrees with the label at every test price
         lo = german_params.cost_floor
         hi = german_params.full_local_cost
         labels = {
-            classify_regime(german_demand, german_supply, 0.0, p_test).tag
+            flux_stock_regime(german_demand, german_supply, 0.0, p_test)[0]
             for p_test in np.linspace(lo + 1.0, hi, 25)
         }
-        assert labels == {"mature"}
+        assert labels == {classify_regime(german_demand, german_supply, 0.0).tag} == {"mature"}
 
     def test_margin_constant_over_prices_and_time(self, german_demand, german_supply, german_params):
         # flux/(mu*stock) reduces to (alpha - psi)/mu for every p and t
         p = german_params
         expected = (p.alpha - p.psi) / p.mu - 1.0
         for t in (0.0, 3.0):
+            assert classify_regime(german_demand, german_supply, t).margin == pytest.approx(expected, rel=1e-12)
             for p_test in np.geomspace(p.v * p.r_m, p.full_local_cost, 10):
-                label = classify_regime(german_demand, german_supply, t, p_test)
-                assert label.margin == pytest.approx(expected, rel=1e-12)
+                margin = flux_stock_regime(german_demand, german_supply, t, p_test)[1]
+                assert margin == pytest.approx(expected, rel=1e-12)
 
     def test_zero_mu_is_emerging_with_infinite_margin(self):
         params = german_transport_params(mu=0.0)
@@ -148,7 +233,7 @@ class TestClassifyRegime:
         assert math.isinf(label.margin)
 
     def test_underflowing_capacity_is_emerging_with_infinite_margin(self):
-        # mu * D(t, p) underflows to 0 although mu > 0
+        # (alpha - psi)/mu overflows although mu > 0
         params = german_transport_params(mu=5e-324)
         params = params.replace(f0=1e-5 * params.f0)  # D(0, entry price) below 0.5
         demand, supply = DemandSide.closed_form(params), SupplySide.closed_form(params)
@@ -231,3 +316,86 @@ class TestPriceSlope:
     def test_unknown_mode_rejected(self, german_demand, german_supply):
         with pytest.raises(DomainError):
             price_slope(german_demand, german_supply, 0.0, 37_000.0, "hybrid")
+
+    @pytest.mark.parametrize(
+        "price, error",
+        [
+            (25_000.0, BelowCostFloorError),
+            (20_000.0, BelowCostFloorError),
+            (50_001.0, DomainError),
+            (math.nan, DomainError),
+            (-math.inf, DomainError),
+        ],
+    )
+    def test_price_outside_the_domain_rejected(self, german_demand, german_supply, price, error):
+        with pytest.raises(error):
+            price_slope(german_demand, german_supply, 0.0, price)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d, s, t: classify_regime(d, s, t),
+        lambda d, s, t: entry_rate(d, s, t),
+        lambda d, s, t: price_slope(d, s, t, 37_000.0),
+        lambda d, s, t: solve_equilibrium(d, s, t),
+    ],
+)
+def test_time_outside_the_domain_rejected(german_demand, german_supply, call, t):
+    with pytest.raises(DomainError, match="time must be finite"):
+        call(german_demand, german_supply, t)
+
+
+def oracle_gaps(demand, supply, t, price):
+    """Relative gaps between the closed forms and the flux/stock oracle.
+
+    The margin is compared as 1 + margin, the ratio of inflow to absorbed
+    flow.  The entry flow and the slope are differences of two flows, so
+    they are compared on the scale of their terms; near the regime tie the
+    difference itself keeps no digits of the terms' rounding.
+    """
+    params = supply.params
+    label = classify_regime(demand, supply, t)
+    tag, margin, flow = flux_stock_regime(demand, supply, t)
+    assert label.tag == tag
+    threshold = params.alpha - params.psi
+    terms = (threshold + params.mu) / abs(threshold - params.mu)
+    gaps = {"margin": abs((1.0 + label.margin) / (1.0 + margin) - 1.0)}
+    if label.is_emerging:
+        gaps["entry"] = abs(entry_rate(demand, supply, t) - flow) / (abs(flow) * terms)
+    for mode in ("capacity", "literal"):
+        oracle = flux_stock_slope(demand, supply, t, price, mode)
+        gaps[mode] = abs(price_slope(demand, supply, t, price, mode) - oracle) / (abs(oracle) * terms)
+    return gaps
+
+
+class TestFluxStockOracle:
+    """The regime, margin, slope and entry flow of ``equilibrium`` come from
+    the closed forms of ``model``; the flux/stock evaluation through the
+    curve sides is their oracle, on closed-form and grid-backed sides."""
+
+    @given(
+        params=jittered_german_markets(),
+        t=st.floats(min_value=0.0, max_value=10.0),
+        frac=st.floats(min_value=0.01, max_value=1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_sides(self, params, t, frac):
+        demand, supply = DemandSide.closed_form(params), SupplySide.closed_form(params)
+        price = params.cost_floor + frac * params.n * params.delta_c
+        gaps = oracle_gaps(demand, supply, t, price)
+        assert max(gaps.values()) <= 1e-12, gaps
+
+    @given(
+        params=jittered_german_markets(),
+        t=st.floats(min_value=0.0, max_value=10.0),
+        frac=st.floats(min_value=0.01, max_value=1.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_grid_sides(self, params, t, frac):
+        demand = DemandSide.with_grid(params, cap_factor=1e10, points=8193)
+        supply = SupplySide.with_grid(params, points=8193)
+        price = params.cost_floor + frac * params.n * params.delta_c
+        gaps = oracle_gaps(demand, supply, t, price)
+        assert max(gaps.values()) <= 1e-5, gaps

@@ -256,7 +256,7 @@ class TestClosedForms:
         lambda p, g, x: model.decline_slope(p, x, literal=True),
         lambda p, g, x: model.profit_frontier(p, model.decline_slope(p, x, literal=True)),
         lambda p, g, x: model.exit_flow(p, g / x, -x),
-        lambda p, g, x: model.inflow_flux(p, 40_000.0, lambda r: model.demand_density(p, g * x, r)),
+        lambda p, g, x: model.inflow_flux(p, g * x, 40_000.0),
     ]
 
     @pytest.mark.parametrize("form", range(len(FORMS)))

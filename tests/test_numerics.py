@@ -22,7 +22,7 @@ from consultmarket import (
     solve_equilibrium,
     step_path,
 )
-from consultmarket.errors import ConsultMarketError, NoBracketError, NumericError
+from consultmarket.errors import NoBracketError, NumericError
 from consultmarket.numerics import MAX_EXTRA_EVALS, rk4_step
 from consultmarket.scenarios import german_transport_params
 
@@ -219,8 +219,8 @@ def recorded_solve(params, t, grid):
     with mock.patch("consultmarket.equilibrium.find_root", recording_find_root):
         try:
             solve_equilibrium(demand, supply, t)
-        except ConsultMarketError:
-            pass  # no crossing at this t, or no demand to classify at the entry price
+        except NumericError:
+            pass  # no crossing above the floor at this t
     return solves[0] if solves else None
 
 

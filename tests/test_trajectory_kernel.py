@@ -1,7 +1,7 @@
 """The closed-form simulate kernel against the scalar functions it replaces.
 
 The reduced decline law, written out here, is checked against
-``price_slope``, and simulated prices against ``step_path`` of that law bit
+``price_slope`` and the flux/stock oracle, and simulated prices against ``step_path`` of that law bit
 for bit; every recorded column is checked against the curve sides and the
 cost algebra on random valid parameter sets, and the columnar
 ``Trajectory`` against its contract.
@@ -31,6 +31,7 @@ from consultmarket import (
 from consultmarket.dynamics import COLUMNS
 from consultmarket.model import ModelParams
 from consultmarket.scenarios import german_transport_scenario
+from test_equilibrium import flux_stock_slope
 
 MODES = st.sampled_from(("capacity", "literal"))
 
@@ -89,6 +90,7 @@ def test_reduced_slope_equals_price_slope(params, mode, t, frac):
     demand, supply = DemandSide.closed_form(params), SupplySide.closed_form(params)
     reduced = reduced_law(params, mode)(t, price)
     assert reduced == pytest.approx(price_slope(demand, supply, t, price, mode), rel=1e-10)
+    assert reduced == pytest.approx(flux_stock_slope(demand, supply, t, price, mode), rel=1e-10)
 
 
 @st.composite
