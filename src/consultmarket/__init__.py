@@ -20,15 +20,6 @@ from .calibration import (
     load_size_histogram,
 )
 from .curves import DemandSide, SupplySide, evolve_density
-from .dynamics import (
-    ScenarioConfig,
-    Trajectory,
-    TrajectoryPoint,
-    TrajectorySummary,
-    simulate,
-    summarize,
-    sweep,
-)
 from .equilibrium import (
     EquilibriumResult,
     RegimeLabel,
@@ -58,6 +49,7 @@ from .model import (
 )
 from .numerics import Bracket, DensityGrid, find_root, integrate_tail, step_path
 from .scenarios import (
+    ScenarioConfig,
     german_transport_anchors,
     german_transport_params,
     german_transport_scenario,
@@ -117,3 +109,16 @@ __all__ = [
     "summarize",
     "sweep",
 ]
+
+
+def __getattr__(name: str):
+    # dynamics loads numpy, so its names resolve on each use; never stored here,
+    # so a function replaced in dynamics (by a tracer, say) is what this returns
+    if name in ("Trajectory", "TrajectoryPoint", "TrajectorySummary", "simulate", "summarize", "sweep"):
+        from . import dynamics
+        return getattr(dynamics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -24,8 +24,7 @@ import tempfile
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .calibration import (
     AnchorConditions,
@@ -35,11 +34,13 @@ from .calibration import (
     load_size_histogram,
 )
 from .curves import DemandSide, SupplySide
-from .dynamics import COLUMNS, ScenarioConfig, Trajectory, cumulative_flow, simulate, summarize, sweep
 from .equilibrium import classify_regime, solve_equilibrium
 from .errors import ConsultMarketError, DataError, DomainError
 from .model import ModelParams
-from .scenarios import german_transport_anchors, german_transport_params
+from .scenarios import ScenarioConfig, german_transport_anchors, german_transport_params
+
+if TYPE_CHECKING:
+    from .dynamics import Trajectory
 
 __all__ = ["run", "main", "RunConfig"]
 
@@ -48,7 +49,10 @@ ANCHOR_KEYS = ("served0", "price0")
 DYNAMICS_KEYS = ("mode", "horizon", "dt", "t")
 IO_KEYS = ("fig2", "fig3", "trajectory", "sweep", "series", "sizes", "config_out")
 
-TRAJECTORY_HEADER = ",".join(COLUMNS)
+# dynamics.COLUMNS written out, so that cli needs no numpy; a test holds them equal
+TRAJECTORY_COLUMNS = ("t", "price", "price_slope", "required_share", "marginal_size", "demand", "supply",
+                      "entry_rate", "exit_rate", "profit_frontier")
+TRAJECTORY_HEADER = ",".join(TRAJECTORY_COLUMNS)
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -66,7 +70,7 @@ CURRENCY, FRACTION = "{:.2f}", "{:.4f}"
 _fmt_currency, _fmt_fraction = CURRENCY.format, FRACTION.format
 # time, shares and flow rates get four decimals, everything else two
 _FRACTION_COLUMNS = ("t", "required_share", "entry_rate", "exit_rate")
-TRAJECTORY_FORMATS = tuple(FRACTION if name in _FRACTION_COLUMNS else CURRENCY for name in COLUMNS)
+TRAJECTORY_FORMATS = tuple(FRACTION if name in _FRACTION_COLUMNS else CURRENCY for name in TRAJECTORY_COLUMNS)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -184,17 +188,20 @@ def _columns_csv(header: str, columns: list[list[float]], formats: tuple[str, ..
 
 def _fig2_csv(cfg: RunConfig, t: float, points: int = 251) -> str:
     demand, supply = _curve_sides(cfg)
-    prices = np.linspace(demand.params.cost_floor, demand.params.full_local_cost, points)
-    columns = [prices.tolist(), [demand.at(t, x) for x in prices], [supply.at(t, x) for x in prices]]
+    lo, hi = demand.params.cost_floor, demand.params.full_local_cost
+    # numpy's linspace(lo, hi, points), bit for bit
+    prices = [k * ((hi - lo) / (points - 1)) + lo for k in range(points - 1)] + [hi]
+    columns = [prices, [demand.at(t, x) for x in prices], [supply.at(t, x) for x in prices]]
     return _columns_csv("price,demand,supply", columns, (CURRENCY,) * 3)
 
 
 def _trajectory_csv(traj: Trajectory) -> str:
-    columns = [getattr(traj, name).tolist() for name in COLUMNS]
+    columns = [getattr(traj, name).tolist() for name in TRAJECTORY_COLUMNS]
     return _columns_csv(TRAJECTORY_HEADER, columns, TRAJECTORY_FORMATS)
 
 
 def _fig3_csv(traj: Trajectory) -> str:
+    from .dynamics import cumulative_flow
     columns = [traj.t, traj.price, traj.required_share, cumulative_flow(traj.exit_rate, traj.t)]
     return _columns_csv(
         "t,price,required_share,exits",
@@ -239,6 +246,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, {**flags, "trajectory": args.out})
     if "trajectory" not in cfg.io:
         raise UsageError("simulate needs --out <csv> (or [io] trajectory in the config)")
+    from .dynamics import simulate, summarize
     traj = simulate(cfg.scenario)
     out = Path(cfg.io["trajectory"])
     _write_atomic(out, _trajectory_csv(traj))
@@ -268,6 +276,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, {"sweep": args.out})
     if "sweep" not in cfg.io:
         raise UsageError("sweep needs --out <csv> (or [io] sweep in the config)")
+    from .dynamics import sweep
     rows = sweep(cfg.scenario, name, lo, hi, step)
     header = "final_price,price_drift_pct_per_year,share_gain_pp_per_year,total_exits,floor_reached,error"
     lines = [f"{name},{header}"]

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .errors import BelowCostFloorError, DomainError
 from .model import ModelParams, demand_curve, demand_density, min_viable_size, supply_curve, supply_density
 from .numerics import DEFAULT_GRID_POINTS, DensityGrid, integrate_tail
@@ -209,6 +207,7 @@ def evolve_density(
     grid lives on the same axis; mass advected beyond the axis cap is
     integrated and reported, not silently dropped.
     """
+    import numpy as np
     if rate <= 0:
         raise DomainError(f"growth rate must be > 0, got {rate!r}")
     _check_time(t)

@@ -29,14 +29,14 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .calibration import AnchorConditions, anchored_params
 from .curves import DemandSide, SupplySide
-from .equilibrium import SLOPE_MODES, classify_regime, solve_equilibrium
+from .equilibrium import classify_regime, solve_equilibrium
 from .errors import ConsultMarketError, DomainError, NumericError
 from .model import (
     ModelParams, decline_slope, demand_curve, exit_flow, inflow_flux, marginal_size,
     profit_frontier, required_share, supply_curve, supply_density,
 )
+from .scenarios import ScenarioConfig
 
 __all__ = [
     "TrajectoryPoint", "Trajectory", "TrajectorySummary", "ScenarioConfig", "SweepRow",
@@ -64,42 +64,6 @@ class TrajectoryPoint(NamedTuple):
 
 
 COLUMNS = TrajectoryPoint._fields
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Everything a simulation run needs.
-
-    When ``anchors`` is set, ``resolved_params()`` replaces the
-    normalizations the anchors pin with the anchor solve, so swept
-    parameters re-anchor consistently; every run reads those params.
-    """
-
-    params: ModelParams
-    mode: str = "capacity"
-    horizon: float = 10.0
-    dt: float = 0.01
-    anchors: AnchorConditions | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in SLOPE_MODES:
-            raise DomainError(f"mode must be one of {SLOPE_MODES}, got {self.mode!r}")
-        if not self.horizon > 0:
-            raise DomainError(f"horizon must be > 0, got {self.horizon!r}")
-        if not 0 < self.dt <= self.horizon:
-            raise DomainError(f"dt must be in (0, horizon], got {self.dt!r}")
-        # the path must end at the horizon: horizon/dt has to be a whole
-        # number of steps up to rounding in the division
-        steps = self.horizon / self.dt
-        if abs(steps - round(steps)) > 1e-9 * steps:
-            raise DomainError(
-                f"horizon {self.horizon!r} is not a whole number of steps dt={self.dt!r}"
-            )
-
-    def resolved_params(self) -> ModelParams:
-        if self.anchors is None:
-            return self.params
-        return anchored_params(self.params, self.anchors)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, NoBracketError, NumericError
+
+if TYPE_CHECKING:  # the grid routines import numpy when they run
+    import numpy as np
 
 __all__ = [
     "DensityGrid",
@@ -53,6 +54,7 @@ class DensityGrid:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         axis = np.asarray(self.axis, dtype=float).copy()
         values = np.asarray(self.values, dtype=float).copy()
         if axis.ndim != 1 or values.shape != axis.shape:
@@ -87,6 +89,7 @@ class DensityGrid:
         points: int = DEFAULT_GRID_POINTS,
     ) -> "DensityGrid":
         """Sample ``fn`` on a log-spaced axis from ``lower`` to ``upper``."""
+        import numpy as np
         if lower <= 0 or upper <= lower:
             raise DomainError("log-spaced axis needs 0 < lower < upper")
         axis = np.exp(np.linspace(math.log(lower), math.log(upper), points))
@@ -96,6 +99,7 @@ class DensityGrid:
 
     def interp(self, x: float) -> float:
         """Linearly interpolated density at ``x`` (must lie on the axis span)."""
+        import numpy as np
         if not self.lower_bound <= x <= self.upper_bound:
             raise DomainError(
                 f"{x!r} outside grid domain [{self.lower_bound!r}, {self.upper_bound!r}]"
@@ -111,6 +115,7 @@ def integrate_tail(grid: DensityGrid, from_: float, weight: str = "none") -> flo
     is cut by interpolating the integrand linearly, which keeps the result
     additive over adjacent intervals.
     """
+    import numpy as np
     if weight not in ("none", "identity"):
         raise DomainError(f"weight must be 'none' or 'identity', got {weight!r}")
     if not grid.lower_bound <= from_ <= grid.upper_bound:
@@ -130,7 +135,7 @@ def integrate_tail(grid: DensityGrid, from_: float, weight: str = "none") -> flo
         x0, x1 = grid.axis[i - 1], grid.axis[i]
         y_from = y0 + (y1 - y0) * (from_ - x0) / (x1 - x0)
         tail -= 0.5 * (y0 + y_from) * (from_ - x0)
-    return tail
+    return float(tail)
 
 
 @dataclass(frozen=True)
@@ -254,6 +259,7 @@ def step_path(
     Returns an array of shape (steps + 1, 2) holding (t, y) including the
     initial point.  Global error is O(dt^4) on smooth slopes.
     """
+    import numpy as np
     if dt <= 0:
         raise DomainError(f"dt must be > 0, got {dt!r}")
     if steps < 1:

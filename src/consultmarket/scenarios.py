@@ -19,11 +19,15 @@ pins f0 and g0.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .calibration import AnchorConditions, anchored_params
-from .dynamics import ScenarioConfig
+from .equilibrium import SLOPE_MODES
+from .errors import DomainError
 from .model import ModelParams
 
 __all__ = [
+    "ScenarioConfig",
     "german_transport_anchors",
     "german_transport_params",
     "german_transport_scenario",
@@ -39,6 +43,40 @@ _GERMAN_CONSTANTS = dict(
     alpha=0.073,
     r_m=1.3e6,
 )
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Everything a simulation run needs.
+
+    When ``anchors`` is set, ``resolved_params()`` replaces the
+    normalizations the anchors pin with the anchor solve, so swept
+    parameters re-anchor consistently; every run reads those params.
+    """
+
+    params: ModelParams
+    mode: str = "capacity"
+    horizon: float = 10.0
+    dt: float = 0.01
+    anchors: AnchorConditions | None = None
+
+    def __post_init__(self) -> None:
+        if self.mode not in SLOPE_MODES:
+            raise DomainError(f"mode must be one of {SLOPE_MODES}, got {self.mode!r}")
+        if not self.horizon > 0:
+            raise DomainError(f"horizon must be > 0, got {self.horizon!r}")
+        if not 0 < self.dt <= self.horizon:
+            raise DomainError(f"dt must be in (0, horizon], got {self.dt!r}")
+        # the path must end at the horizon: horizon/dt has to be a whole
+        # number of steps up to rounding in the division
+        steps = self.horizon / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise DomainError(
+                f"horizon {self.horizon!r} is not a whole number of steps dt={self.dt!r}"
+            )
+
+    def resolved_params(self) -> ModelParams:
+        return self.params if self.anchors is None else anchored_params(self.params, self.anchors)
 
 
 def german_transport_anchors() -> AnchorConditions:

@@ -1,13 +1,24 @@
 """Command-line interface: subcommand behavior, exit codes, file outputs."""
 
+import json
 import math
+import os
 import runpy
+import subprocess
 import sys
 import warnings
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from consultmarket import cli
 from consultmarket.cli import TRAJECTORY_HEADER, run
+from consultmarket.dynamics import COLUMNS
+from consultmarket.scenarios import ScenarioConfig, german_transport_params
 
 GERMAN_CFG = """\
 # calibrated German transportation consulting scenario
@@ -321,6 +332,62 @@ class TestEntryPoints:
             runpy.run_module(module, run_name="__main__")
         assert exit_info.value.code == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 1002
+
+
+# Runs CLI commands one after another in a fresh interpreter and prints, as
+# JSON, each step's exit code and whether numpy was loaded after it.
+_LEAN_IMPORTS_CHILD = """
+import json, sys
+steps = []
+import consultmarket
+steps.append(["import consultmarket", 0, "numpy" in sys.modules])
+from consultmarket.cli import run
+for argv in json.loads(sys.argv[1]):
+    code = run(argv)
+    steps.append([argv[0], code, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+class TestLeanImports:
+    def test_only_simulate_and_sweep_load_numpy(self, german_cfg, tmp_path):
+        series, sizes = tmp_path / "series.csv", tmp_path / "sizes.csv"
+        TestCalibrate.write_series(series)
+        sizes.write_text(SIZES_CSV, encoding="utf-8")
+        commands = [
+            ["calibrate", "--series", str(series), "--out", str(tmp_path / "a.cfg")],
+            ["calibrate", "--series", str(series), "--sizes", str(sizes), "--out", str(tmp_path / "b.cfg")],
+            ["solve", "--config", str(german_cfg), "--fig2", str(tmp_path / "fig2.csv")],
+            ["classify", "--config", str(german_cfg)],
+            ["simulate", "--config", str(german_cfg), "--out", str(tmp_path / "traj.csv")],
+        ]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", _LEAN_IMPORTS_CHILD, json.dumps(commands)],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        steps = json.loads(proc.stdout.splitlines()[-1])
+        assert [step[0] for step in steps] == ["import consultmarket", *(c[0] for c in commands)]
+        assert all(code == 0 for _, code, _ in steps)
+        assert [loaded for _, _, loaded in steps] == [False] * 5 + [True]
+
+    def test_trajectory_header_names_the_trajectory_fields(self):
+        assert TRAJECTORY_HEADER == ",".join(COLUMNS)
+
+    @given(
+        c=st.floats(min_value=1e3, max_value=1e6),
+        share=st.floats(min_value=1e-6, max_value=1.0),
+        n=st.floats(min_value=1.0, max_value=50.0),
+        points=st.integers(min_value=2, max_value=300),
+    )
+    @settings(max_examples=50)
+    def test_fig2_axis_is_numpy_linspace(self, c, share, n, points):
+        params = german_transport_params().replace(c=c, delta_c=share * c, n=n)
+        cfg = cli.RunConfig(scenario=ScenarioConfig(params), t=0.0, io={})
+        with mock.patch.object(cli, "_columns_csv", lambda header, columns, formats: columns):
+            prices = cli._fig2_csv(cfg, 0.0, points)[0]
+        assert prices == np.linspace(params.cost_floor, params.full_local_cost, points).tolist()
 
 
 class TestUsage:

@@ -171,6 +171,11 @@ class TestSolveEquilibrium:
         assert params.cost_floor < eq.price < params.entry_price
         assert eq.price_slope < 0 and eq.exit_rate > 0
 
+    def test_grid_solve_returns_python_floats(self):
+        params = german_transport_params(mu=0.05).replace(v=2e-5)
+        eq = solve_equilibrium(DemandSide.with_grid(params), SupplySide.with_grid(params), 0.0)
+        assert type(eq.price) is float and type(eq.served) is float
+
     def test_no_grid_demand_above_the_floor_cannot_clear(self):
         # floor/v lies past the 512-point demand grid: D is 0 at every viable price
         params = german_transport_params(mu=0.05).replace(v=1e-5)

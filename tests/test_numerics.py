@@ -83,6 +83,12 @@ class TestIntegrateTail:
         lo, hi = sorted((a, b))
         assert integrate_tail(grid, lo) >= integrate_tail(grid, hi) - 1e-12
 
+    @pytest.mark.parametrize("weight", ["none", "identity"])
+    def test_cut_cell_returns_a_python_float(self, weight):
+        grid = make_zipf_grid()
+        assert 17.3 not in grid.axis
+        assert type(integrate_tail(grid, 17.3, weight=weight)) is float
+
     def test_additive_over_adjacent_intervals(self):
         grid = make_zipf_grid()
         a, b = 17.3, 431.9
