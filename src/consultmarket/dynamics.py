@@ -1,30 +1,35 @@
-"""Market path over a horizon: flat price with entry, or integrated decline.
+"""Market path over a horizon: flat price with entry, or the exact decline.
 
 A scenario starts from the t = 0 cleared state.  The regime depends on the
 parameters alone (mature iff mu > alpha - psi), so it is classified once
-and holds for the whole path.  An emerging path takes no steps: the price
-stays at the smallest provider's cost and entry is recorded.  On a mature
-path the price follows ``equilibrium.price_slope``, the autonomous law
+and holds for the whole path.  An emerging path stays at the smallest
+provider's cost and records entry.  On a mature path the price follows
+``equilibrium.price_slope``, the autonomous law
 
     dP/dt = (alpha - psi - mu) * min(P - floor, n*delta_c*(1 - beta*n)) * w(P)
 
 with floor = n*(c - delta_c), w = 1 in capacity mode and
-w = min_viable_size(P)/n in literal mode, which is stepped with fixed-step
-RK4, its four stages written out inline in the step loop.  The horizon must
-be a whole number of steps.  Every recorded column is then evaluated in one
-numpy pass over the time and price arrays; the scalar functions of
+w = min_viable_size(P)/n in literal mode.  The law has an exact solution,
+``model.decline_gap``: linear down to the cap, then exponential (capacity)
+or logistic (literal) in the gap P - floor.  ``dt`` only sets where that
+solution is sampled, at t = k*dt for every whole k up to the horizon, which
+must be a whole number of steps.  Every recorded column is then evaluated
+in one numpy pass over the time and price arrays; the scalar functions of
 ``curves``, ``model`` and ``equilibrium`` stay the reference those columns
-are tested against.
+are tested against, and RK4 (``numerics.step_path``) the oracle of the path.
 
-Floor rule: an RK4 stage or step that comes within FLOOR_TOL * n*delta_c of
-the cost floor ends the path.  That step is not recorded and the trajectory
-is marked ``floor_reached``, so every recorded price stays above the floor.
+Floor rule: the path ends before the first sample within
+FLOOR_TOL * n*delta_c of the cost floor.  That sample is not recorded and
+the trajectory is marked ``floor_reached``, so every recorded price after
+t = 0 stays above the floor.  Any non-finite recorded value, the initial
+slope included, raises NumericError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -33,8 +38,8 @@ from .curves import DemandSide, SupplySide
 from .equilibrium import classify_regime, solve_equilibrium
 from .errors import ConsultMarketError, DomainError, NumericError
 from .model import (
-    ModelParams, decline_slope, demand_curve, exit_flow, inflow_flux, marginal_size,
-    profit_frontier, required_share, supply_curve, supply_density,
+    ModelParams, decline_gap, decline_slope, demand_curve, exit_flow, inflow_flux,
+    marginal_size, profit_frontier, required_share, supply_curve, supply_density,
 )
 from .scenarios import ScenarioConfig
 
@@ -99,7 +104,8 @@ class Trajectory:
         return len(self.t)
 
     def __iter__(self) -> Iterator[TrajectoryPoint]:
-        return map(TrajectoryPoint._make, zip(*(getattr(self, name).tolist() for name in COLUMNS)))
+        columns = zip(*(getattr(self, name).tolist() for name in COLUMNS))
+        return map(tuple.__new__, repeat(TrajectoryPoint), columns)
 
     @property
     def points(self) -> tuple[TrajectoryPoint, ...]:
@@ -155,88 +161,36 @@ def _columns(
     )
 
 
-def _decline_path(
-    params: ModelParams, mode: str, price: float, dt: float, steps: int
-) -> tuple[list[float], bool]:
-    """RK4 path of the reduced decline law from ``price``, and whether it hit the floor.
-
-    The four stages of the law (see the module docstring) are evaluated
-    inline, in the operation order of ``numerics.rk4_step`` applied to the
-    scalar law, so the path equals ``step_path`` of that law bit for bit.
-    A finite stage or step at or below the floor stop ends the path (a
-    stage at -inf does not); a non-finite stage raises NumericError.
-    """
-    p = params
-    rate = p.alpha - p.psi - p.mu
-    floor = p.cost_floor
-    cap = p.n * p.delta_c * (1.0 - p.beta * p.n)
-    stop = floor + FLOOR_TOL * p.n * p.delta_c
-    literal = mode == "literal"
-    n, local, width = p.n, p.n * p.c, p.n * p.beta * p.delta_c
-    half, sixth, minus_inf = 0.5 * dt, dt / 6.0, -math.inf
-    prices = [price]
-    if minus_inf < price <= stop:
-        return prices, True
-    for k in range(steps):
-        gap = price - floor
-        k1 = rate * (gap if gap < cap else cap)
-        if literal:
-            raw = (local - price) / width
-            k1 *= (raw if raw > n else n) / n
-        y = price + half * k1
-        if minus_inf < y <= stop:
-            return prices, True
-        gap = y - floor
-        k2 = rate * (gap if gap < cap else cap)
-        if literal:
-            raw = (local - y) / width
-            k2 *= (raw if raw > n else n) / n
-        y = price + half * k2
-        if minus_inf < y <= stop:
-            return prices, True
-        gap = y - floor
-        k3 = rate * (gap if gap < cap else cap)
-        if literal:
-            raw = (local - y) / width
-            k3 *= (raw if raw > n else n) / n
-        y = price + dt * k3
-        if minus_inf < y <= stop:
-            return prices, True
-        gap = y - floor
-        k4 = rate * (gap if gap < cap else cap)
-        if literal:
-            raw = (local - y) / width
-            k4 *= (raw if raw > n else n) / n
-        total = k1 + 2.0 * k2 + 2.0 * k3 + k4
-        # a non-finite stage makes the sum non-finite; finite stages can
-        # still overflow it, so the stages themselves decide
-        if not math.isfinite(total) and not all(map(math.isfinite, (k1, k2, k3, k4))):
-            raise NumericError(f"non-finite slope near t={k * dt!r}, value={price!r}")
-        price = price + sixth * total
-        if price <= stop:
-            return prices, True
-        prices.append(price)
-    return prices, False
-
-
 def simulate(config: ScenarioConfig) -> Trajectory:
     """Run the scenario and return the recorded path.
 
     Deterministic: identical configs produce bit-identical trajectories.
     """
     params = config.resolved_params()
-    steps = int(round(config.horizon / config.dt))
+    t = np.arange(int(round(config.horizon / config.dt)) + 1) * config.dt
     demand, supply = DemandSide.closed_form(params), SupplySide.closed_form(params)
     mature = classify_regime(demand, supply, 0.0).is_mature
+    literal = config.mode == "literal"
     floor_reached = False
-    if mature:
-        price = solve_equilibrium(demand, supply, 0.0, slope_mode=config.mode).price
-        prices, floor_reached = _decline_path(params, config.mode, price, config.dt, steps)
-        path = np.array(prices)
-    else:
-        path = np.full(steps + 1, params.entry_price)
-    t = np.arange(len(path)) * config.dt
-    columns = _columns(params, config.mode, t, path, mature)
+    with np.errstate(all="ignore"):  # non-finite values are caught below
+        if mature:
+            price = solve_equilibrium(demand, supply, 0.0, slope_mode=config.mode).price
+            floor = params.cost_floor
+            stop = floor + FLOOR_TOL * params.n * params.delta_c
+            path = floor + decline_gap(params, price - floor, t, literal)
+            stopped = path[1:] <= stop
+            floor_reached = price <= stop or bool(stopped.any())
+            if floor_reached:
+                end = int(stopped.argmax()) + 1
+                t, path = t[:end], path[:end]
+        else:
+            path = np.full(len(t), params.entry_price)
+        columns = _columns(params, config.mode, t, path, mature)
+    for name, column in columns.items():
+        finite = np.isfinite(column)
+        if not finite.all():
+            k = int(finite.argmin())
+            raise NumericError(f"non-finite {name} at t={float(t[k])!r}: {float(column[k])!r}")
     return Trajectory(**columns, floor_reached=floor_reached, mode=config.mode)
 
 

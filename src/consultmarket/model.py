@@ -6,11 +6,12 @@ engagement (``n`` workers) at ``n*(c - phi(e)*delta_c)``.  Everything here
 is a pure function of its arguments.
 
 The closed forms of the paper (curve densities and tails, marginal size,
-required share, reduced decline slope, flows, profit frontier) are each
-written once, at the end.  They take the params, a growth factor such as
-exp(alpha*t) computed by the caller, and a price or size, each a float or
-a numpy array (clamps: ``min``/``max`` on floats, ``ndarray.clip`` on
-arrays).  They check no domain; the scalar entry points do.
+required share, reduced decline slope and its exact path, flows, profit
+frontier) are each written once, at the end.  They take the params, a
+growth factor such as exp(alpha*t) computed by the caller, and a price,
+size or time, each a float or a numpy array (clamps: ``min``/``max`` on
+floats, ``ndarray.clip`` on arrays).  They check no domain; the scalar
+entry points do.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ class ModelParams:
     r_m:      entrant client revenue, currency/year
     f0:       demand density normalization, firms
     g0:       supply (Zipf) normalization, firms
+
+    entry_price, computed once at construction, is the cost of the smallest
+    viable provider, n*(c - phi(n)*delta_c).
     """
 
     v: float
@@ -81,6 +85,11 @@ class ModelParams:
         for ok, msg in checks:
             if not ok:
                 raise DomainError(msg)
+        # an attribute, not a field, so equality, hash and replace ignore it;
+        # set eagerly: caching it on first read (functools.cached_property)
+        # materializes the instance __dict__, and every later attribute read
+        # of the instance then takes about 2.5x as long on CPython 3.11
+        object.__setattr__(self, "entry_price", engagement_cost(self.n, self))
 
     @property
     def cost_floor(self) -> float:
@@ -91,11 +100,6 @@ class ModelParams:
     def full_local_cost(self) -> float:
         """n*c: engagement cost with no displacement at all."""
         return self.n * self.c
-
-    @property
-    def entry_price(self) -> float:
-        """Cost of the smallest viable provider, n*(c - phi(n)*delta_c)."""
-        return engagement_cost(self.n, self)
 
     @property
     def bounds(self) -> "ProviderBounds":
@@ -197,6 +201,10 @@ def _at_most(x, hi: float):
     return min(x, hi) if isinstance(x, (int, float)) else x.clip(None, hi)
 
 
+def _exp(x):
+    return math.exp(x) if isinstance(x, (int, float)) else x.__array_namespace__().exp(x)
+
+
 def demand_density(params: ModelParams, growth, r):
     """f(t, r) = alpha * f0 * exp(alpha*t) * (r/r_m)^(-alpha/psi)."""
     p = params
@@ -258,6 +266,38 @@ def decline_slope(params: ModelParams, price, literal: bool):
     cap = p.n * p.delta_c * (1.0 - p.beta * p.n)
     slope = (p.alpha - p.psi - p.mu) * _at_most(price - p.cost_floor, cap)
     return slope * (marginal_size(p, price) / p.n) if literal else slope
+
+
+def decline_gap(params: ModelParams, gap0: float, t, literal: bool):
+    """g(t) = P(t) - floor on the exact solution of decline_slope from g(0) = gap0 > 0.
+
+    With K = n*delta_c, cap = K*(1 - beta*n) and rate = alpha - psi - mu:
+    linear, gap0 + rate*cap*t, while g >= cap (w = 1 there), then from
+    g_s = min(gap0, cap), tau after the path meets cap, g_s*exp(rate*tau)
+    (capacity) or the logistic K*g_s*e^{R tau}/(K - g_s + g_s*e^{R tau})
+    with R = rate/(n*beta) (literal).
+    """
+    p = params
+    rate = p.alpha - p.psi - p.mu
+    k = p.n * p.delta_c
+    cap = k * (1.0 - p.beta * p.n)
+    drop = rate * cap
+    if gap0 <= cap:
+        g_s, t_cap = gap0, 0.0
+    else:  # linear down to cap, never reached when rate*cap is 0 (beta*n = 1)
+        g_s, t_cap = cap, (cap - gap0) / drop if drop else math.inf
+    tau = _at_least(t - t_cap, 0.0)
+    if literal:
+        e = _exp(rate * tau / (p.n * p.beta))
+        tail = g_s * e / (1.0 + g_s / k * (e - 1.0))  # exactly g_s at tau = 0
+    else:
+        tail = g_s * _exp(rate * tau)
+    if gap0 <= cap:
+        return tail
+    linear = gap0 + drop * t
+    if isinstance(t, (int, float)):
+        return linear if t < t_cap else tail
+    return t.__array_namespace__().where(t < t_cap, linear, tail)
 
 
 def exit_flow(params: ModelParams, density, slope):

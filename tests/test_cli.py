@@ -235,6 +235,15 @@ class TestSimulate:
     def test_missing_output_location_is_usage_error(self, german_cfg, capsys):
         assert run(["simulate", "--config", str(german_cfg)]) == 1
 
+    def test_overflowing_column_is_numeric_error(self, german_cfg, tmp_path, capsys):
+        # the emerging path's demand overflows late in the horizon; no numpy
+        # warning may leak (pytest turns RuntimeWarnings into errors)
+        out = tmp_path / "traj.csv"
+        argv = ["simulate", "--config", str(german_cfg), "--mu", "0.02", "--horizon", "30000", "--dt", "1"]
+        assert run([*argv, "--out", str(out)]) == 3
+        assert "numeric error: non-finite demand at t=" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_line_summary(self, german_cfg, tmp_path, capsys):
         out = tmp_path / "traj.csv"
         run(["simulate", "--config", str(german_cfg), "--out", str(out)])

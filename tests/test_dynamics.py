@@ -7,20 +7,17 @@ import numpy as np
 import pytest
 
 from consultmarket import (
-    DemandSide,
     DomainError,
     NumericError,
     ScenarioConfig,
-    SupplySide,
-    price_slope,
     simulate,
-    step_path,
     summarize,
     sweep,
 )
 from consultmarket import dynamics
 from consultmarket.dynamics import FLOOR_TOL, sweep_values
 from consultmarket.scenarios import german_transport_scenario
+from test_trajectory_kernel import exact_gap, stop_time
 
 
 def analytic_price(t: float, mu: float, p0: float = 37_000.0, floor: float = 25_000.0) -> float:
@@ -129,8 +126,8 @@ class TestFloorHandling:
         assert all(p.price > 25_000.0 for p in traj)
 
     def test_crossing_step_stops_and_marks(self):
-        # literal-mode slope at the start (~-4e5/yr) crosses the floor within
-        # one coarse step
+        # literal-mode slope at the start (~-4e5/yr) reaches the floor stop
+        # within 0.32 years, between the fourth and fifth coarse samples
         traj = simulate(german_transport_scenario(mu=0.05, mode="literal", horizon=1.0, dt=0.1))
         assert traj.floor_reached
         assert len(traj) < 11
@@ -139,7 +136,7 @@ class TestFloorHandling:
     @pytest.mark.parametrize("mu, dt", [(0.05, 0.01), (0.06, 0.001)])
     def test_floor_rule_ends_literal_path(self, mu, dt):
         # the literal decline runs into the floor within the first year; the
-        # step that comes within FLOOR_TOL * n*delta_c of it ends the path
+        # sample that comes within FLOOR_TOL * n*delta_c of it ends the path
         # and is not recorded
         config = german_transport_scenario(mu=mu, mode="literal", dt=dt)
         traj = simulate(config)
@@ -147,25 +144,42 @@ class TestFloorHandling:
         assert 1 < len(traj) < 1.0 / dt
         assert traj.price.min() > 25_000.0 + FLOOR_TOL * 25_000.0
         assert np.all(np.diff(traj.price) < 0)
-        # up to the stop, the path is the RK4 path of the full price_slope
-        params = config.resolved_params()
-        demand, supply = DemandSide.closed_form(params), SupplySide.closed_form(params)
-        reference = step_path(
-            lambda t, p: price_slope(demand, supply, t, p, "literal"),
-            0.0,
-            float(traj.price[0]),
-            dt,
-            len(traj) - 1,
-        )
-        assert traj.price.tolist() == pytest.approx(reference[:, 1].tolist(), rel=1e-12)
+        # up to the stop, the path is the logistic solution of the literal law
+        params, gap0 = config.resolved_params(), float(traj.price[0]) - 25_000.0
+        expected = [25_000.0 + exact_gap(params, "literal", gap0, t) for t in traj.t.tolist()]
+        assert traj.price.tolist() == pytest.approx(expected, rel=1e-12)
+        t_stop = stop_time(params, "literal", gap0)
+        assert traj.t[-1] <= t_stop < traj.t[-1] + dt
+
+    @pytest.mark.parametrize(
+        "dt, rows, drift", [(0.1, 4, -108.11), (0.01, 32, -104.62), (0.001, 318, -102.31)]
+    )
+    def test_literal_headline_only_samples_the_exact_path(self, dt, rows, drift):
+        # dt sets where the path is sampled, so the last row before the stop
+        # moves with it, but even the coarsest grid records a decline
+        config = german_transport_scenario(mu=0.05, mode="literal", dt=dt)
+        traj = simulate(config)
+        assert len(traj) == rows and traj.floor_reached
+        assert summarize(traj).price_drift_pct_per_year == pytest.approx(drift, abs=5e-3)
+        t_stop = stop_time(config.resolved_params(), "literal", float(traj.price[0]) - 25_000.0)
+        assert traj.t[-1] <= t_stop < traj.t[-1] + dt
 
     def test_non_finite_stage_raises_numeric_error(self):
-        # mu = 1e308 overflows the first stage slope to -inf
-        config = german_transport_scenario(mu=1e308, horizon=1.0, dt=0.1)
-        with pytest.raises(NumericError):
+        # mu = 1e308 overflows the initial slope to -inf in both modes
+        for mode in ("capacity", "literal"):
+            config = german_transport_scenario(mu=1e308, mode=mode, horizon=1.0, dt=0.1)
+            with pytest.raises(NumericError, match=r"non-finite price_slope at t=0\.0: -inf"):
+                simulate(config)
+            rows = sweep(config, "mu", 1e308, 1e308, 1.0)
+            assert rows[0].error.startswith("NumericError")
+
+    def test_overflowing_column_raises_numeric_error(self):
+        # exp(alpha*t) overflows late in a 30000-year emerging path
+        config = german_transport_scenario(mu=0.02, horizon=30_000.0, dt=1.0)
+        with pytest.raises(NumericError, match=r"non-finite demand at t=9599\.0: inf"):
             simulate(config)
-        rows = sweep(config, "mu", 1e308, 1e308, 1.0)
-        assert rows[0].error.startswith("NumericError")
+        rows = sweep(config, "mu", 0.02, 0.02, 1.0)
+        assert rows[0].error.startswith("NumericError: non-finite demand")
 
 
 class TestScenarioConfigValidation:

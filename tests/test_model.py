@@ -238,6 +238,15 @@ class TestModelParamsValidation:
         assert b.e_min_domain == german_params.n
         assert b.e_max_domain == pytest.approx(5000.0)
 
+    def test_entry_price_is_computed_once_and_is_no_field(self, german_params):
+        params = german_params.replace(mu=0.06)
+        fresh = params.replace()
+        assert params.entry_price == engagement_cost(params.n, params) == 49_995.0
+        assert params.entry_price is params.entry_price
+        assert "entry_price" not in ModelParams.field_names()
+        assert params == fresh and hash(params) == hash(fresh)
+        assert params.replace(n=2.0).entry_price == engagement_cost(2.0, params.replace(n=2.0))
+
 
 class TestClosedForms:
     """Each closed form of ``model`` gives the same values on an array as on
@@ -257,6 +266,12 @@ class TestClosedForms:
         lambda p, g, x: model.profit_frontier(p, model.decline_slope(p, x, literal=True)),
         lambda p, g, x: model.exit_flow(p, g / x, -x),
         lambda p, g, x: model.inflow_flux(p, g * x, 40_000.0),
+        # t from 0 to 24.4 years below the cap; from above it (cap 24 995),
+        # t from 0 to 0.024 years, across the end of the linear phase at 0.007
+        lambda p, g, x: model.decline_gap(p, 12_000.0, (x - 25_625.0) / 1e3, literal=False),
+        lambda p, g, x: model.decline_gap(p, 12_000.0, (x - 25_625.0) / 1e3, literal=True),
+        lambda p, g, x: model.decline_gap(p, 24_999.0, (x - 25_625.0) / 1e6, literal=False),
+        lambda p, g, x: model.decline_gap(p, 24_999.0, (x - 25_625.0) / 1e6, literal=True),
     ]
 
     @pytest.mark.parametrize("form", range(len(FORMS)))

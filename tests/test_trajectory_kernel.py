@@ -1,12 +1,17 @@
 """The closed-form simulate kernel against the scalar functions it replaces.
 
 The reduced decline law, written out here, is checked against
-``price_slope`` and the flux/stock oracle, and simulated prices against ``step_path`` of that law bit
-for bit; every recorded column is checked against the curve sides and the
-cost algebra on random valid parameter sets, and the columnar
-``Trajectory`` against its contract.
+``price_slope`` and the flux/stock oracle; simulated prices against the
+exact solution of that law, also written out here, and that solution
+against RK4 (``step_path``) of the law; every recorded column is checked
+against the curve sides and the cost algebra on random valid parameter
+sets, the path against its invariants, and the columnar ``Trajectory``
+against its contract.
 """
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -28,8 +33,8 @@ from consultmarket import (
     simulate,
     step_path,
 )
-from consultmarket.dynamics import COLUMNS
-from consultmarket.model import ModelParams
+from consultmarket.dynamics import COLUMNS, FLOOR_TOL
+from consultmarket.model import ModelParams, decline_gap
 from consultmarket.scenarios import german_transport_scenario
 from test_equilibrium import flux_stock_slope
 
@@ -139,27 +144,131 @@ def test_columns_equal_their_scalar_functions(config):
             assert point.entry_rate == 0.0
 
 
-def assert_path_is_step_path_of_reduced_law(config: ScenarioConfig) -> None:
+def exact_gap(params: ModelParams, mode: str, gap0: float, t: float) -> float:
+    """P(t) - floor on the exact solution of ``reduced_law`` from P(0) - floor = gap0:
+    linear while the gap is at least the cap, then exponential (capacity) or
+    logistic (literal) from where it meets the cap."""
+    p = params
+    rate = p.alpha - p.psi - p.mu
+    k = p.n * p.delta_c
+    cap = k * (1.0 - p.beta * p.n)
+    if gap0 > cap:
+        t_cap = (cap - gap0) / (rate * cap)
+        if t < t_cap:
+            return gap0 + rate * cap * t
+        gap0, t = cap, t - t_cap
+    if mode == "capacity":
+        return gap0 * math.exp(rate * t)
+    e = math.exp(rate / (p.n * p.beta) * t)
+    return k * gap0 * e / (k - gap0 + gap0 * e)
+
+
+def stop_time(params: ModelParams, mode: str, gap0: float) -> float:
+    """When the exact path from gap0 <= cap comes within FLOOR_TOL * n*delta_c of the floor."""
+    p = params
+    rate = p.alpha - p.psi - p.mu
+    k = p.n * p.delta_c
+    stop = FLOOR_TOL * k
+    if mode == "capacity":
+        return math.log(stop / gap0) / rate
+    return math.log(stop * (k - gap0) / (gap0 * (k - stop))) / (rate / (p.n * p.beta))
+
+
+def assert_path_is_exact_solution(config: ScenarioConfig):
     traj = simulate(config)
+    params = config.resolved_params()
+    floor, price0 = params.cost_floor, float(traj.price[0])
+    expected = [floor + exact_gap(params, config.mode, price0 - floor, t) for t in traj.t.tolist()]
+    assert traj.price.tolist() == pytest.approx(expected, rel=1e-12)
+    return traj
+
+
+def max_rk4_error(config: ScenarioConfig) -> float:
+    """Largest distance of RK4 of the reduced law, at the scenario's dt, from the exact path."""
+    traj = assert_path_is_exact_solution(config)
     law = reduced_law(config.resolved_params(), config.mode)
-    reference = step_path(law, 0.0, float(traj.price[0]), config.dt, len(traj) - 1)
-    assert traj.price.tolist() == reference[:, 1].tolist()
+    rk4 = step_path(law, 0.0, float(traj.price[0]), config.dt, len(traj) - 1)[:, 1]
+    return float(np.max(np.abs(rk4 - traj.price)))
 
 
-@pytest.mark.parametrize("mode", ["capacity", "literal"])
-def test_german_path_is_step_path_of_reduced_law(mode):
-    # the literal path stops at the floor after 32 rows, the capacity path
-    # runs the whole horizon
-    assert_path_is_step_path_of_reduced_law(german_transport_scenario(mu=0.05, mode=mode))
+def test_german_path_is_exact_solution_of_reduced_law_capacity():
+    # the capacity path runs the whole horizon; RK4 of an exponential is
+    # exact to rounding
+    config = german_transport_scenario(mu=0.05, mode="capacity")
+    traj = assert_path_is_exact_solution(config)
+    assert len(traj) == 1001 and not traj.floor_reached
+    assert max_rk4_error(config) <= 1e-12 * float(traj.price.min())
+
+
+def test_german_path_is_exact_solution_of_reduced_law_literal():
+    # the literal path stops at the floor after 32 rows; before that, RK4
+    # converges to it at fourth order: halving dt cuts its error 16-fold
+    traj = assert_path_is_exact_solution(german_transport_scenario(mu=0.05, mode="literal"))
+    assert len(traj) == 32 and traj.floor_reached
+    coarse = max_rk4_error(german_transport_scenario(mu=0.05, mode="literal", horizon=0.2, dt=0.002))
+    fine = max_rk4_error(german_transport_scenario(mu=0.05, mode="literal", horizon=0.2, dt=0.001))
+    assert 14.0 <= coarse / fine <= 19.0
 
 
 @given(config=anchored_scenarios())
 @settings(max_examples=150, deadline=None)
-def test_mature_path_is_step_path_of_reduced_law(config):
+def test_mature_path_is_exact_solution_of_reduced_law(config):
     params = config.resolved_params()
     assume(params.mu > params.alpha - params.psi)
-    assume(len(simulate(config)) > 1)
-    assert_path_is_step_path_of_reduced_law(config)
+    assert_path_is_exact_solution(config)
+
+
+@given(config=anchored_scenarios())
+@settings(max_examples=100, deadline=None)
+def test_path_invariants(config):
+    params = config.resolved_params()
+    traj = simulate(config)
+    floor, k = params.cost_floor, params.n * params.delta_c
+    assert np.all(np.diff(traj.price) <= 0.0)
+    assert np.all(traj.price > floor + FLOOR_TOL * k)
+    assert np.all((traj.required_share >= 0.0) & (traj.required_share <= 1.0))
+    assert np.all(traj.exit_rate >= 0.0)
+    if params.mu <= params.alpha - params.psi:  # emerging
+        assert np.all(traj.entry_rate >= 0.0)
+        assert not traj.floor_reached
+    else:
+        # anchors sit below the entry price, so the path starts below the cap
+        t_stop = stop_time(params, config.mode, float(traj.price[0]) - floor)
+        assume(abs(t_stop - config.horizon) > 1e-6 * config.horizon)
+        assert traj.floor_reached == (t_stop <= config.horizon)
+
+
+@pytest.mark.parametrize("mode", ["capacity", "literal"])
+def test_exact_gap_from_above_the_cap(mode):
+    # beta*n = 1/2 puts the cap at half of K = n*delta_c = 1000; from a gap
+    # of 900 the price falls linearly to the cap and then bends
+    params = ModelParams(
+        v=0.02, n=2.0, c=1000.0, delta_c=500.0, beta=0.25, psi=0.03, mu=0.5, alpha=0.05,
+        r_m=1e5, f0=1.0, g0=1.0,
+    )
+    literal = mode == "literal"
+    rate, cap, gap0 = -0.48, 500.0, 900.0
+    t_cap = (cap - gap0) / (rate * cap)
+    t = np.linspace(0.0, 4.0, 4001)
+    gap = decline_gap(params, gap0, t, literal)
+    # on floats math.exp, on arrays numpy's exp: they may differ in the last bit
+    floats = [decline_gap(params, gap0, x, literal) for x in t.tolist()]
+    assert gap.tolist() == pytest.approx(floats, rel=1e-15)
+    assert gap.tolist() == pytest.approx([exact_gap(params, mode, gap0, x) for x in t.tolist()], rel=1e-12)
+    linear = t < t_cap
+    assert gap[linear].tolist() == pytest.approx((gap0 + rate * cap * t[linear]).tolist(), rel=1e-15)
+    assert np.all(gap[~linear] <= cap) and np.all(np.diff(gap) < 0.0)
+    # continuous where the path meets the cap
+    for side in (math.nextafter(t_cap, 0.0), t_cap, math.nextafter(t_cap, 1.0)):
+        assert decline_gap(params, gap0, side, literal) == pytest.approx(cap, rel=1e-14)
+    # and RK4 of the law, in price, lands on it
+    floor = params.cost_floor
+    rk4 = step_path(reduced_law(params, mode), 0.0, floor + gap0, 0.001, 4000)
+    assert rk4[:, 1].tolist() == pytest.approx((floor + gap).tolist(), rel=1e-11)
+    # at beta*n = 1 the cap is 0, so the slope is 0 and the path stays put
+    flat = params.replace(beta=0.5)
+    assert decline_gap(flat, gap0, t, literal).tolist() == [gap0] * len(t)
+    assert decline_gap(flat, gap0, 2.0, literal) == gap0
 
 
 class TestTrajectory:
