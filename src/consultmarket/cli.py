@@ -11,7 +11,8 @@ sweep       re-run a scenario across one parameter's grid
 Config files are INI-style text (``key = value`` under ``[section]``,
 ``#`` comments) with sections ``market``, ``anchors``, ``dynamics`` and
 ``io``.  Every flag has a config equivalent; flags win.  Exit codes:
-0 success, 1 usage, 2 data, 3 numeric.
+0 success (also when the reader closes stdout early), 1 usage, 2 data,
+3 numeric.
 """
 
 from __future__ import annotations
@@ -191,7 +192,8 @@ def _fig2_csv(cfg: RunConfig, t: float, points: int = 251) -> str:
     lo, hi = demand.params.cost_floor, demand.params.full_local_cost
     # numpy's linspace(lo, hi, points), bit for bit
     prices = [k * ((hi - lo) / (points - 1)) + lo for k in range(points - 1)] + [hi]
-    columns = [prices, [demand.at(t, x) for x in prices], [supply.at(t, x) for x in prices]]
+    d, s = demand.curve(t), supply.curve(t)
+    columns = [prices, [d(x) for x in prices], [s(x) for x in prices]]
     return _columns_csv("price,demand,supply", columns, (CURRENCY,) * 3)
 
 
@@ -214,21 +216,24 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, {"t": args.t, "fig2": args.fig2})
     demand, supply = _curve_sides(cfg)
     result = solve_equilibrium(demand, supply, cfg.t, slope_mode=cfg.scenario.mode)
-    print(f"price={_fmt_currency(result.price)}")
-    print(f"regime={result.regime.tag}")
-    print(f"required_share={_fmt_fraction(result.required_share)}")
-    print(f"required_share_complement={_fmt_fraction(result.required_share_complement)}")
-    print(f"marginal_size={_fmt_currency(result.marginal_size)}")
-    print(f"served={_fmt_currency(result.served)}")
-    print(f"price_slope={_fmt_currency(result.price_slope)}")
+    lines = [
+        f"price={_fmt_currency(result.price)}",
+        f"regime={result.regime.tag}",
+        f"required_share={_fmt_fraction(result.required_share)}",
+        f"required_share_complement={_fmt_fraction(result.required_share_complement)}",
+        f"marginal_size={_fmt_currency(result.marginal_size)}",
+        f"served={_fmt_currency(result.served)}",
+        f"price_slope={_fmt_currency(result.price_slope)}",
+    ]
     if result.entry_rate is not None:
-        print(f"entry_rate={_fmt_fraction(result.entry_rate)}")
+        lines.append(f"entry_rate={_fmt_fraction(result.entry_rate)}")
     if result.exit_rate is not None:
-        print(f"exit_rate={_fmt_fraction(result.exit_rate)}")
+        lines.append(f"exit_rate={_fmt_fraction(result.exit_rate)}")
     if "fig2" in cfg.io:
         out = Path(cfg.io["fig2"])
         _write_atomic(out, _fig2_csv(cfg, cfg.t))
-        print(f"wrote {out}")
+        lines.append(f"wrote {out}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -324,12 +329,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         f"{key} = {rates[key]:.9g}" if key in rates else f"{key} = {getattr(assumed, key):g}"
         for key in MARKET_KEYS[:-2]
     ]
-    g0_note = ""
+    g0_note, lines = "", []
     if args.sizes is not None:
         fit = fit_zipf(load_size_histogram(args.sizes))
         market.append(f"g0 = {fit.g0:.9g}")
         g0_note = "; g0 from the size histogram"
-        print(f"zipf fit: g0={fit.g0:.6g}, log residual={fit.residual:.3g}")
+        lines.append(f"zipf fit: g0={fit.g0:.6g}, log residual={fit.residual:.3g}")
     text = _CALIBRATE_TEMPLATE.format(
         series=args.series,
         g0_note=g0_note,
@@ -339,10 +344,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     _write_atomic(out, text)
     load_config(out)  # fail fast if the emitted config would not round-trip
-    print(
-        f"calibrate: psi={rates['psi']:.6g}, alpha={rates['alpha']:.6g}, "
-        f"r_m={rates['r_m']:.6g}, wrote {out}"
-    )
+    lines.append(f"calibrate: psi={rates['psi']:.6g}, alpha={rates['alpha']:.6g}, r_m={rates['r_m']:.6g}, wrote {out}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -390,13 +393,23 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``), which is its choice, not a
+        # data error: every requested file is written before the first line
+        # is printed.  Stdout goes to devnull so the exit flush stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

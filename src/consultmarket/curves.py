@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import BelowCostFloorError, DomainError
+from .errors import BelowCostFloorError, DomainError, NumericError
 from .model import ModelParams, demand_curve, demand_density, min_viable_size, supply_curve, supply_density
-from .numerics import DEFAULT_GRID_POINTS, DensityGrid, integrate_tail
+from .numerics import DEFAULT_GRID_POINTS, DensityGrid, integrate_tail, tail_integrals
 
 __all__ = [
     "DemandSide",
@@ -41,6 +41,15 @@ DEMAND_CAP_FACTOR = 1e3
 def _check_time(t: float) -> None:
     if not (math.isfinite(t) and t >= 0):
         raise DomainError(f"time must be finite and >= 0, got {t!r}")
+
+
+def _growth(rate: float, t: float) -> float:
+    """exp(rate*t) at a checked time; a factor past the float range is a NumericError."""
+    _check_time(t)
+    try:
+        return math.exp(rate * t)
+    except OverflowError:
+        raise NumericError(f"growth factor exp({rate!r} * {t!r}) overflows") from None
 
 
 @dataclass(frozen=True)
@@ -87,33 +96,41 @@ class DemandSide:
         Grid-backed sides interpolate their grid on its span and fall back
         to the closed form past the axis cap.
         """
-        _check_time(t)
         p = self.params
+        growth = _growth(p.alpha, t)
         if r < p.r_m:
             raise DomainError(f"revenue {r!r} below the entrant revenue {p.r_m!r}")
-        growth = math.exp(p.alpha * t)
         if self.grid is not None and r <= self.grid.upper_bound:
             return growth * self.grid.interp(r)
         return demand_density(p, growth, r)
 
-    def at(self, t: float, price: float) -> float:
-        """D(t, p): client firms whose benefit v*r covers the price.
+    def curve(self, t: float) -> Callable[[float], float]:
+        """price -> D(t, price): client firms whose benefit v*r covers the price.
 
         Below v*r_m every incumbent demands and the full population count
         is returned; a grid-backed side counts nothing past its axis cap.
+        The time, the growth factor and a grid's tail table are settled
+        once here, so every price of one instant costs a lookup.
         """
-        _check_time(t)
-        p = self.params
-        if not math.isfinite(price) or price < 0:
-            raise DomainError(f"price must be finite and >= 0, got {price!r}")
-        growth = math.exp(p.alpha * t)
-        if self.grid is None:
-            return demand_curve(p, growth, price)
-        r_cut = price / p.v
-        if r_cut >= self.grid.upper_bound:
-            return 0.0
-        start = max(r_cut, self.grid.lower_bound)
-        return growth * integrate_tail(self.grid, start, weight="none")
+        p, grid = self.params, self.grid
+        growth = _growth(p.alpha, t)
+        tail = None if grid is None else tail_integrals(grid, "none")
+
+        def demand(price: float) -> float:
+            if not math.isfinite(price) or price < 0:
+                raise DomainError(f"price must be finite and >= 0, got {price!r}")
+            if tail is None:
+                return demand_curve(p, growth, price)
+            r_cut = price / p.v
+            if r_cut >= grid.upper_bound:
+                return 0.0
+            return growth * tail(max(r_cut, grid.lower_bound))
+
+        return demand
+
+    def at(self, t: float, price: float) -> float:
+        """D(t, p): one price of ``curve(t)``."""
+        return self.curve(t)(price)
 
 
 @dataclass(frozen=True)
@@ -146,42 +163,45 @@ class SupplySide:
 
     def density(self, t: float, e: float) -> float:
         """g(t, e): provider firms per employee at size ``e``."""
-        _check_time(t)
+        growth = _growth(self.params.mu, t)
         b = self.params.bounds
         if not b.e_min_domain <= e <= b.e_max_domain:
             raise DomainError(
                 f"size {e!r} outside provider domain [{b.e_min_domain!r}, {b.e_max_domain!r}]"
             )
-        growth = math.exp(self.params.mu * t)
         if self.grid is not None:
             return growth * self.grid.interp(e)
         return supply_density(self.params, growth, e)
 
-    def at(self, t: float, price: float) -> float:
-        """S(t, p): client engagements deliverable profitably at ``price``.
+    def curve(self, t: float) -> Callable[[float], float]:
+        """price -> S(t, price): client engagements deliverable profitably.
 
         Zero at the cost floor, affine in price up to the point where even
-        size-n providers are viable, then flat.  Domain is (floor, n*c].
+        size-n providers are viable, then flat.  Domain is [floor, n*c].
+        Settled once per instant as in ``DemandSide.curve``.
         """
-        _check_time(t)
-        p = self.params
-        if not math.isfinite(price):
-            raise DomainError(f"price must be finite, got {price!r}")
-        if price < p.cost_floor:
-            raise BelowCostFloorError(
-                f"price {price!r} below the cost floor {p.cost_floor!r}"
-            )
-        if price > p.full_local_cost:
-            raise DomainError(
-                f"price {price!r} above the full local cost {p.full_local_cost!r}"
-            )
-        if price == p.cost_floor:
-            return 0.0
-        growth = math.exp(p.mu * t)
-        if self.grid is None:
-            return supply_curve(p, growth, price)
-        e_min = min(min_viable_size(price, p), self.grid.upper_bound)
-        return growth * integrate_tail(self.grid, e_min, weight="identity") / p.n
+        p, grid = self.params, self.grid
+        growth = _growth(p.mu, t)
+        tail = None if grid is None else tail_integrals(grid, "identity")
+
+        def supply(price: float) -> float:
+            if not math.isfinite(price):
+                raise DomainError(f"price must be finite, got {price!r}")
+            if price < p.cost_floor:
+                raise BelowCostFloorError(f"price {price!r} below the cost floor {p.cost_floor!r}")
+            if price > p.full_local_cost:
+                raise DomainError(f"price {price!r} above the full local cost {p.full_local_cost!r}")
+            if price == p.cost_floor:
+                return 0.0
+            if tail is None:
+                return supply_curve(p, growth, price)
+            return growth * tail(min(min_viable_size(price, p), grid.upper_bound)) / p.n
+
+        return supply
+
+    def at(self, t: float, price: float) -> float:
+        """S(t, p): one price of ``curve(t)``."""
+        return self.curve(t)(price)
 
 
 class EvolvedDensity(NamedTuple):

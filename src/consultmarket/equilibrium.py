@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curves import _check_time
+from .curves import _check_time, _growth
 from .errors import BelowCostFloorError, DomainError, NumericError, RegimeError
 from .model import (
     decline_slope, demand_curve, exit_flow, inflow_flux, min_viable_size, required_offshore_share,
@@ -103,7 +103,7 @@ def _regime(params) -> RegimeLabel:
 
 def _entry_flow(params, t: float) -> float:
     """psi*(p/v)*f(t, p/v) - mu*D(t, p) at the smallest provider's cost p."""
-    growth, price = math.exp(params.alpha * t), params.entry_price
+    growth, price = _growth(params.alpha, t), params.entry_price
     return inflow_flux(params, growth, price) - params.mu * demand_curve(params, growth, price)
 
 
@@ -173,7 +173,8 @@ def solve_equilibrium(
 ) -> EquilibriumResult:
     """Clear the market at time ``t`` and classify the resulting state.
 
-    Finds the root of D(t, p) - S(t, p) with Brent's method
+    Finds the root of D(t, p) - S(t, p), read through each side's
+    ``curve(t)``, with Brent's method
     (``numerics.find_root``) on a bracket from the cost floor to v*r_m,
     grown by doubling and capped at the full local cost n*c.  Curves that
     meet at n*c up to a relative 1e-12 clear there.  Raises NumericError
@@ -182,13 +183,13 @@ def solve_equilibrium(
     non-increasing and S non-decreasing, so finite ends bound every
     residual between them).
     """
-    _check_time(t)
     params = supply.params
     if demand.params != params:
         raise DomainError("demand and supply sides carry different parameter sets")
+    d, s = demand.curve(t), supply.curve(t)
 
     def residual(p: float) -> float:
-        return demand.at(t, p) - supply.at(t, p)
+        return d(p) - s(p)
 
     lo = params.cost_floor
     f_lo = residual(lo)
@@ -209,7 +210,7 @@ def solve_equilibrium(
         raise NumericError(f"non-finite curve value: residual({hi!r})={f_hi!r}")
     # curves that meet at n*c (an anchor at the full local cost) clear there;
     # the relative slack absorbs the rounding of both curve evaluations
-    if f_hi > 0 and f_hi > 1e-12 * supply.at(t, hi):
+    if f_hi > 0 and f_hi > 1e-12 * s(hi):
         raise NumericError(
             "market cannot clear: demand exceeds supply on the whole price domain; "
             f"residual({lo!r})={f_lo!r}, residual({hi!r})={f_hi!r}"
@@ -220,7 +221,7 @@ def solve_equilibrium(
         t=t,
         price=price,
         regime=label,
-        served=demand.at(t, price),
+        served=d(price),
         marginal_size=min_viable_size(price, params),
         required_share=required_offshore_share(price, params),
     )

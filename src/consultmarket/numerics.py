@@ -24,6 +24,7 @@ __all__ = [
     "DensityGrid",
     "Bracket",
     "integrate_tail",
+    "tail_integrals",
     "find_root",
     "rk4_step",
     "step_path",
@@ -107,35 +108,43 @@ class DensityGrid:
         return float(np.interp(x, self.axis, self.values))
 
 
-def integrate_tail(grid: DensityGrid, from_: float, weight: str = "none") -> float:
-    """Trapezoidal integral of the grid density from ``from_`` to the upper edge.
+def tail_integrals(grid: DensityGrid, weight: str = "none") -> Callable[[float], float]:
+    """Tail integrals of one grid: ``tail(from_)`` integrates from ``from_`` to the upper edge.
 
     ``weight="identity"`` multiplies the density by the axis value first
-    (the employee-weighted supply integrand).  The partial cell at ``from_``
-    is cut by interpolating the integrand linearly, which keeps the result
-    additive over adjacent intervals.
+    (the employee-weighted supply integrand).  The tails from the axis
+    points are summed once, in O(n); a call finds the cell cut at ``from_``
+    by binary search and adds its part right of ``from_``, the integrand
+    interpolated linearly, which keeps the result additive over intervals.
     """
     import numpy as np
     if weight not in ("none", "identity"):
         raise DomainError(f"weight must be 'none' or 'identity', got {weight!r}")
-    if not grid.lower_bound <= from_ <= grid.upper_bound:
-        raise DomainError(
-            f"integration start {from_!r} outside grid domain"
-            f" [{grid.lower_bound!r}, {grid.upper_bound!r}]"
-        )
-    integrand = grid.values if weight == "none" else grid.axis * grid.values
-    if from_ == grid.upper_bound:
-        return 0.0
-    # first axis index strictly right of from_
-    i = int(np.searchsorted(grid.axis, from_, side="right"))
-    tail = float(np.trapezoid(integrand[i - 1 :], grid.axis[i - 1 :]))
-    if from_ > grid.axis[i - 1]:
-        # remove the sliver [axis[i-1], from_] of the cut cell
-        y0, y1 = integrand[i - 1], integrand[i]
-        x0, x1 = grid.axis[i - 1], grid.axis[i]
+    axis, lower, upper = grid.axis, grid.lower_bound, grid.upper_bound
+    integrand = grid.values if weight == "none" else axis * grid.values
+    cells = np.diff(axis)
+    cells *= integrand[1:] + integrand[:-1]
+    cells *= 0.5
+    tails = np.zeros(axis.size)  # tails[i]: the integral from axis[i] to the upper edge
+    np.cumsum(cells[::-1], out=tails[-2::-1])
+
+    def tail(from_: float) -> float:
+        if not lower <= from_ <= upper:
+            raise DomainError(f"integration start {from_!r} outside grid domain [{lower!r}, {upper!r}]")
+        if from_ == upper:
+            return 0.0
+        i = int(axis.searchsorted(from_, "right"))  # first axis index strictly right of from_
+        x0, x1 = axis[i - 1 : i + 1].tolist()
+        y0, y1 = integrand[i - 1 : i + 1].tolist()
         y_from = y0 + (y1 - y0) * (from_ - x0) / (x1 - x0)
-        tail -= 0.5 * (y0 + y_from) * (from_ - x0)
-    return float(tail)
+        return float(tails[i] + 0.5 * (y_from + y1) * (x1 - from_))
+
+    return tail
+
+
+def integrate_tail(grid: DensityGrid, from_: float, weight: str = "none") -> float:
+    """One tail integral of ``tail_integrals``; build the table once to read several."""
+    return tail_integrals(grid, weight)(from_)
 
 
 @dataclass(frozen=True)

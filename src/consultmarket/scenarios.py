@@ -19,6 +19,7 @@ pins f0 and g0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .calibration import AnchorConditions, anchored_params
@@ -32,6 +33,11 @@ __all__ = [
     "german_transport_params",
     "german_transport_scenario",
 ]
+
+# Most steps a path may sample.  ``simulate`` holds ten float64 columns of
+# steps + 1 samples (80 MB at this bound) and the CLI writes each sample as
+# a CSV row, so a finer path would outgrow memory before it showed more.
+MAX_STEPS = 10**6
 
 _GERMAN_CONSTANTS = dict(
     v=0.025,
@@ -63,13 +69,15 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.mode not in SLOPE_MODES:
             raise DomainError(f"mode must be one of {SLOPE_MODES}, got {self.mode!r}")
-        if not self.horizon > 0:
-            raise DomainError(f"horizon must be > 0, got {self.horizon!r}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise DomainError(f"horizon must be finite and > 0, got {self.horizon!r}")
         if not 0 < self.dt <= self.horizon:
             raise DomainError(f"dt must be in (0, horizon], got {self.dt!r}")
         # the path must end at the horizon: horizon/dt has to be a whole
         # number of steps up to rounding in the division
         steps = self.horizon / self.dt
+        if not steps <= MAX_STEPS:  # inf too, when the division overflows
+            raise DomainError(f"horizon/dt = {steps!r} steps, more than {MAX_STEPS}")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise DomainError(
                 f"horizon {self.horizon!r} is not a whole number of steps dt={self.dt!r}"

@@ -1,11 +1,15 @@
 """Command-line interface: subcommand behavior, exit codes, file outputs."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -157,6 +161,68 @@ class TestConfigValidation:
         cfg.write_text(GERMAN_CFG.replace(old, new), encoding="utf-8")
         assert run(["solve", "--config", str(cfg)]) == 2
         assert "data error" in capsys.readouterr().err
+
+
+def _with_values(values: dict[str, float]) -> str:
+    """GERMAN_CFG with the named keys set to the given values."""
+    lines = []
+    for line in GERMAN_CFG.splitlines():
+        key = line.split(" = ")[0]
+        lines.append(f"{key} = {values[key]!r}" if key in values else line)
+    return "\n".join(lines) + "\n"
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+_CONFIG_KEYS = ("v", "n", "c", "delta_c", "beta", "psi", "mu", "alpha", "r_m", "served0", "price0", "horizon", "dt", "t")
+_EXTREMES = (0.0, -1.0, 5e-324, 1e-300, 1e300, math.inf, -math.inf, math.nan)
+
+
+class TestExtremeValues:
+    """Extreme config values end in a typed error, or in output that is finite."""
+
+    @pytest.mark.parametrize(
+        "command, values, code",
+        [
+            ("solve", {"horizon": math.inf}, 2),
+            ("simulate", {"dt": 5e-324}, 2),  # horizon/dt overflows to inf
+            ("simulate", {"horizon": 1e300, "dt": 1e-300}, 2),  # too many steps to hold
+            ("simulate", {"dt": 1e-300}, 2),
+            ("solve", {"t": 1e300}, 3),  # the growth factor overflows
+        ],
+    )
+    def test_time_settings(self, tmp_path, capsys, command, values, code):
+        cfg, out = tmp_path / "extreme.cfg", tmp_path / "out.csv"
+        cfg.write_text(_with_values(values), encoding="utf-8")
+        flag = "--fig2" if command == "solve" else "--out"
+        assert run([command, "--config", str(cfg), flag, str(out)]) == code
+        assert ("data error" if code == 2 else "numeric error") in capsys.readouterr().err
+        assert not out.exists()
+
+    @given(
+        values=st.dictionaries(st.sampled_from(_CONFIG_KEYS), st.sampled_from(_EXTREMES), max_size=3),
+        command=st.sampled_from(["solve", "simulate"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_no_exception_escapes_and_exit_zero_is_finite(self, values, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "extreme.cfg", Path(tmp) / "out.csv"
+            cfg.write_text(_with_values(values), encoding="utf-8")
+            flag = "--fig2" if command == "solve" else "--out"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run([command, "--config", str(cfg), flag, str(out)])
+            assert code in (0, 2, 3), stderr.getvalue()
+            if code == 0:
+                text = stdout.getvalue() + out.read_text(encoding="utf-8")
+                cells = [float(tok) for tok in re.split(r"[,=\s]+", text) if _is_float(tok)]
+                assert cells and all(math.isfinite(x) for x in cells)
 
 
 class TestResolvedScenario:
@@ -341,6 +407,32 @@ class TestEntryPoints:
             runpy.run_module(module, run_name="__main__")
         assert exit_info.value.code == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 1002
+
+    @pytest.mark.parametrize("command", ["solve", "calibrate"])
+    def test_closed_stdout_is_no_error(self, command, german_cfg, tmp_path):
+        # ``consultmarket solve ... | head -1``: the reader is gone before
+        # anything is printed, yet every requested file is written
+        series, sizes, out = tmp_path / "series.csv", tmp_path / "sizes.csv", tmp_path / "out"
+        TestCalibrate.write_series(series)
+        sizes.write_text(SIZES_CSV, encoding="utf-8")
+        argv = {
+            "solve": ["solve", "--config", str(german_cfg), "--fig2", str(out)],
+            "calibrate": ["calibrate", "--series", str(series), "--sizes", str(sizes), "--out", str(out)],
+        }[command]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "consultmarket", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert out.read_text(encoding="utf-8").endswith("\n")
+        if command == "solve":
+            assert len(out.read_text(encoding="utf-8").splitlines()) == 252
 
 
 # Runs CLI commands one after another in a fresh interpreter and prints, as

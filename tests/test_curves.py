@@ -15,7 +15,7 @@ from consultmarket import (
     SupplySide,
     evolve_density,
 )
-from consultmarket.errors import BelowCostFloorError
+from consultmarket.errors import BelowCostFloorError, NumericError
 
 # frozen t=0 anchor solve for the calibrated scenario (see test_calibration)
 F0_ANCHORED = 0.09280620976863879
@@ -179,6 +179,45 @@ def characteristic_demand_grid(params, shift_cells: int = 64, t: float = 5.0):
     axis = params.r_m * np.exp(step * np.arange(n_cells + 1))
     values = params.alpha * params.f0 * (axis / params.r_m) ** (-params.alpha / params.psi)
     return DensityGrid(axis=axis, values=values), step
+
+
+def _bad_prices(params):
+    """(side, price, error type, message) for every out-of-domain price."""
+    cases = [("demand", x, DomainError, "price must be finite and >= 0") for x in (-1.0, -math.inf, math.inf, math.nan)]
+    cases += [("supply", x, DomainError, "price must be finite,") for x in (-math.inf, math.inf, math.nan)]
+    cases += [
+        ("supply", params.cost_floor - 1.0, BelowCostFloorError, "below the cost floor"),
+        ("supply", params.full_local_cost + 1.0, DomainError, "above the full local cost"),
+    ]
+    return cases
+
+
+class TestCurveAtOneInstant:
+    """``curve(t)`` is the one evaluator; ``at(t, p)`` is ``curve(t)(p)``."""
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_same_errors_as_at(self, german_params, grid):
+        sides = {
+            "demand": DemandSide.with_grid(german_params, points=64) if grid else DemandSide.closed_form(german_params),
+            "supply": SupplySide.with_grid(german_params, points=64) if grid else SupplySide.closed_form(german_params),
+        }
+        for name, price, error, message in _bad_prices(german_params):
+            for evaluate in (sides[name].curve(1.0), lambda x: sides[name].at(1.0, x)):
+                with pytest.raises(DomainError, match=message) as info:
+                    evaluate(price)
+                assert info.type is error
+        for side in sides.values():
+            for t in (-1.0, math.inf, math.nan):
+                with pytest.raises(DomainError, match="time must be finite and >= 0") as info:
+                    side.curve(t)
+                assert info.type is DomainError
+
+    def test_overflowing_growth_is_numeric_error(self, german_params):
+        for side in (DemandSide.closed_form(german_params), SupplySide.closed_form(german_params)):
+            with pytest.raises(NumericError, match="overflows"):
+                side.curve(1e300)
+            with pytest.raises(NumericError, match="overflows"):
+                side.at(1e300, 37_000.0)
 
 
 class TestEvolveDensity:

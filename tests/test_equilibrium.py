@@ -135,8 +135,8 @@ class TestSolveEquilibrium:
         class LinearDemand:
             params: ModelParams
 
-            def at(self, t, p, mode=None):
-                return 100.0 - p
+            def curve(self, t):
+                return lambda p: 100.0 - p
 
             def density(self, t, r):
                 return 1.0
@@ -145,8 +145,8 @@ class TestSolveEquilibrium:
         class LinearSupply:
             params: ModelParams
 
-            def at(self, t, p, mode=None):
-                return p
+            def curve(self, t):
+                return lambda p: p
 
             def density(self, t, e):
                 return 1.0
@@ -229,6 +229,21 @@ class TestClassifyRegime:
             for p_test in np.geomspace(p.v * p.r_m, p.full_local_cost, 10):
                 margin = flux_stock_regime(german_demand, german_supply, t, p_test)[1]
                 assert margin == pytest.approx(expected, rel=1e-12)
+
+    @given(data=st.data(), psi=st.floats(1e-6, 0.5), ulps=st.integers(-4, 4))
+    @settings(max_examples=200)
+    def test_margin_sign_at_the_tie(self, german_params, data, psi, ulps):
+        # mu within a few ulps of alpha - psi, the exact tie included
+        alpha = data.draw(st.floats(psi, psi + 1.0, exclude_min=True))
+        mu = alpha - psi
+        for _ in range(abs(ulps)):
+            mu = math.nextafter(mu, math.copysign(math.inf, ulps))
+        params = german_params.replace(alpha=alpha, psi=psi, mu=mu)
+        label = classify_regime(DemandSide.closed_form(params), SupplySide.closed_form(params), 0.0)
+        assert (label.margin >= 0) == label.is_emerging == (ulps <= 0)
+        still = params.replace(mu=0.0)
+        at_zero = classify_regime(DemandSide.closed_form(still), SupplySide.closed_form(still), 0.0)
+        assert at_zero.is_emerging and at_zero.margin == math.inf
 
     def test_zero_mu_is_emerging_with_infinite_margin(self):
         params = german_transport_params(mu=0.0)

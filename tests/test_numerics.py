@@ -23,12 +23,36 @@ from consultmarket import (
     step_path,
 )
 from consultmarket.errors import NoBracketError, NumericError
-from consultmarket.numerics import MAX_EXTRA_EVALS, rk4_step
+from consultmarket.numerics import MAX_EXTRA_EVALS, rk4_step, tail_integrals
 from consultmarket.scenarios import german_transport_params
 
 
 def make_zipf_grid(g0=3.125, lo=1.0, hi=5000.0, points=64) -> DensityGrid:
     return DensityGrid.log_spaced(lo, hi, lambda e: g0 / e, points=points)
+
+
+def trapezoid_tail(grid: DensityGrid, from_: float, weight: str = "none") -> float:
+    """The slice-trapezoid oracle: ``np.trapezoid`` over the tail from the
+    cell holding ``from_``, minus the sliver of that cell left of ``from_``."""
+    integrand = grid.values if weight == "none" else grid.axis * grid.values
+    if from_ == grid.upper_bound:
+        return 0.0
+    i = int(np.searchsorted(grid.axis, from_, side="right"))
+    tail = float(np.trapezoid(integrand[i - 1 :], grid.axis[i - 1 :]))
+    x0, x1, y0, y1 = grid.axis[i - 1], grid.axis[i], integrand[i - 1], integrand[i]
+    y_from = y0 + (y1 - y0) * (from_ - x0) / (x1 - x0)
+    return tail - 0.5 * (y0 + y_from) * (from_ - x0)
+
+
+@st.composite
+def random_grids(draw) -> DensityGrid:
+    """Grids of 16 to 600 points with uneven spacing, zero runs and spikes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = draw(st.integers(16, 600))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e4]))
+    axis = draw(st.floats(-1e3, 1e3)) + scale * np.cumsum(rng.uniform(0.01, 1.0, points) ** 3)
+    values = rng.exponential(size=points) * (rng.random(points) > draw(st.sampled_from([0.0, 0.3])))
+    return DensityGrid(axis=axis, values=values * draw(st.sampled_from([1e-6, 1.0, 1e6])))
 
 
 class TestDensityGrid:
@@ -88,6 +112,29 @@ class TestIntegrateTail:
         grid = make_zipf_grid()
         assert 17.3 not in grid.axis
         assert type(integrate_tail(grid, 17.3, weight=weight)) is float
+
+    @given(grid=random_grids(), cuts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_table_matches_slice_trapezoid(self, grid, cuts):
+        lo, hi = grid.lower_bound, grid.upper_bound
+        starts = [lo, hi, *grid.axis[[1, -2]], *(min(lo + u * (hi - lo), hi) for u in cuts)]
+        for weight in ("none", "identity"):
+            tail = tail_integrals(grid, weight)
+            integrand = grid.values if weight == "none" else grid.axis * grid.values
+            total = float(np.trapezoid(np.abs(integrand), grid.axis))  # the integrand may be negative
+            for x in starts:
+                got = tail(x)
+                assert type(got) is float
+                assert abs(got - trapezoid_tail(grid, x, weight)) <= 1e-12 * total
+                assert integrate_tail(grid, x, weight) == got
+
+    def test_table_checks_every_start(self):
+        tail = tail_integrals(make_zipf_grid())
+        for start in (0.5, 5001.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="outside grid domain"):
+                tail(start)
+        with pytest.raises(DomainError, match="weight"):
+            tail_integrals(make_zipf_grid(), "square")
 
     def test_additive_over_adjacent_intervals(self):
         grid = make_zipf_grid()
@@ -317,6 +364,23 @@ class TestBrent:
         analytic = p.v * p.r_m * (saturated / scale) ** (1.0 / (1.0 - p.alpha / p.psi))
         assert p.entry_price < analytic < p.full_local_cost
         assert root == pytest.approx(analytic, abs=1e-6)
+
+    @given(
+        mu=st.floats(0.01, 0.1),
+        t=st.floats(0.0, 5.0),
+        points=st.sampled_from([64, 512]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_grid_solve_matches_slice_trapezoid_route(self, mu, t, points):
+        params = german_transport_params(mu)
+        demand, supply = DemandSide.with_grid(params, points=points), SupplySide.with_grid(params, points=points)
+        fast = solve_equilibrium(demand, supply, t)
+        # the same solve with every tail integrated afresh by the oracle
+        oracle_tails = lambda grid, weight: lambda x: trapezoid_tail(grid, x, weight)  # noqa: E731
+        with mock.patch("consultmarket.curves.tail_integrals", oracle_tails):
+            slow = solve_equilibrium(demand, supply, t)
+        assert fast.price == pytest.approx(slow.price, rel=1e-9)
+        assert fast.served == pytest.approx(slow.served, rel=1e-9)
 
     def test_grid_solve_bit_identical_reruns(self, german_params):
         demand, supply = DemandSide.with_grid(german_params), SupplySide.with_grid(german_params)
